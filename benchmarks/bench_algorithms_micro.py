@@ -93,16 +93,14 @@ def test_lattice_reference_builder(benchmark, mined):
 def test_engine_lattice_packed_large(benchmark):
     """Bit-packed lattice build on a 16k-node synthetic closed family.
 
-    16k nodes is past the auto dense->packed threshold, so this times the
-    :mod:`repro.core.bitmatrix` order core (blocked packed containment +
-    gather/OR-reduce transitive reduction) on a family the dense matrices
-    would spend ~0.5 GB on.  The star family's Hasse structure is known
+    Times the :mod:`repro.core.bitmatrix` order core (blocked packed
+    containment + gather/OR-reduce transitive reduction) on a family a
+    dense bool containment matrix would spend ~0.5 GB on.  The star family's Hasse structure is known
     analytically, so the result is asserted edge-for-edge.  Gated by the
     CI regression check (the name matches the ``engine`` filter).
     """
     family = make_star_closed_family(16_386)
-    lattice = benchmark(lambda: IcebergLattice(family, strategy="packed"))
-    assert lattice.strategy == "packed"
+    lattice = benchmark(lambda: IcebergLattice(family))
     assert lattice.edge_count() == 2 * 16_384
 
 
@@ -223,7 +221,7 @@ def test_engine_parallel_lattice(benchmark, workers):
     family = make_star_closed_family(PARALLEL_STAR_MEMBERS)
 
     def build():
-        return IcebergLattice(family, strategy="packed", workers=workers)
+        return IcebergLattice(family, workers=workers)
 
     lattice = benchmark.pedantic(build, rounds=1, iterations=1)
     assert lattice.edge_count() == 2 * (PARALLEL_STAR_MEMBERS - 2)
@@ -241,7 +239,7 @@ def test_engine_parallel_rule_emit(benchmark, workers):
     release the GIL, the per-block bookkeeping does not).
     """
     closed, generators = make_rule_dense_family(PARALLEL_RULE_CHAIN, 2)
-    lattice = IcebergLattice(closed, strategy="packed")
+    lattice = IcebergLattice(closed)
     expected = rule_dense_expected_counts(PARALLEL_RULE_CHAIN, 2)["informative_full"]
 
     def build() -> int:
@@ -283,7 +281,7 @@ def test_engine_recommend_throughput(benchmark):
     """
     chain = PARALLEL_RULE_CHAIN
     closed, generators = make_rule_dense_family(chain, 2)
-    lattice = IcebergLattice(closed, strategy="packed")
+    lattice = IcebergLattice(closed)
     arrays = InformativeBasis(
         generators, minconf=0.0, reduced=False, lattice=lattice, workers=0
     ).rules.to_arrays()

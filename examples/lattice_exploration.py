@@ -56,7 +56,7 @@ def main() -> None:
 
     print("\nHasse edges (closed itemset -> immediate successors):")
     for node in lattice.nodes()[:8]:
-        successors = lattice.immediate_successors(node)
+        successors = lattice.children_of(node)
         if successors:
             print(f"  {node}  ->  {', '.join(str(s) for s in successors)}")
 

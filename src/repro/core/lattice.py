@@ -8,29 +8,17 @@ paths drive the derivation of approximate-rule confidences, so this
 module is shared by :mod:`repro.core.luxenburger` and
 :mod:`repro.core.derivation`.
 
-Construction is vectorised behind a **strategy seam**: the closed family
-is packed into uint64 item-masks and handed to one of the three order
-cores of :mod:`repro.core.order` —
-
-* ``dense`` — two dense bool passes (bulk AND/compare containment,
-  float32-BLAS transitive reduction); fastest up to ~10k nodes at
-  ``n**2`` bytes of steady-state memory;
-* ``packed`` — the bit-packed :class:`~repro.core.bitmatrix.BitMatrix`
-  order (``n**2 / 8`` bytes, blocked construction and gather/OR-reduce
-  reduction); the only core that loads 50k+-node families;
-* ``reference`` — the original per-pair pure-Python Hasse builder
-  (:func:`hasse_edges_reference`), kept as the oracle the vectorised
-  cores are checked against.
-
-``strategy="auto"`` (the default) picks dense below
-:data:`~repro.core.order.DENSE_NODE_LIMIT` nodes and packed above, and
-can be forced process-wide with the ``REPRO_LATTICE_STRATEGY``
-environment variable, per lattice with the constructor argument, or from
-the CLI with ``repro bases --lattice-strategy packed``.
+Construction is vectorised: the closed family is packed into uint64
+item-masks and handed to the :class:`~repro.core.order.PackedOrderCore`,
+which builds the bit-packed :class:`~repro.core.bitmatrix.BitMatrix`
+containment order (``n**2 / 8`` bytes, blocked construction and a
+gather/OR-reduce transitive reduction).  The original per-pair
+pure-Python Hasse builder (:func:`hasse_edges_reference`) is kept as the
+oracle the packed core is checked against.
 
 Downstream consumers never touch the underlying matrices: the basis
 constructions iterate the exposed edge/confidence index arrays, and the
-neighbourhood queries go through strategy-agnostic accessors
+neighbourhood queries go through the accessors
 (:meth:`IcebergLattice.children_of`, :meth:`IcebergLattice.parents_of`,
 :meth:`IcebergLattice.is_ancestor`, …).  A :mod:`networkx` view is still
 available through :meth:`IcebergLattice.to_networkx` and is built lazily
@@ -48,7 +36,7 @@ from ..errors import InvalidParameterError
 from .constants import EPSILON
 from .families import ClosedItemsetFamily
 from .itemset import Itemset
-from .order import OrderCore, build_order_core, pack_itemset_masks, resolve_strategy
+from .order import PackedOrderCore, pack_itemset_masks
 
 __all__ = ["IcebergLattice", "hasse_edges_reference"]
 
@@ -101,27 +89,22 @@ class IcebergLattice:
     ----------
     closed:
         The frequent closed itemsets with their supports.
-    strategy:
-        Order-core strategy: ``"auto"`` (default; dense below the size
-        threshold, packed above, overridable via the
-        ``REPRO_LATTICE_STRATEGY`` environment variable), ``"dense"``,
-        ``"packed"`` or ``"reference"``.
     order_core:
-        A prebuilt :class:`~repro.core.order.OrderCore` over the family's
-        canonical member order.  When given, the (expensive) containment
-        and transitive-reduction passes are skipped entirely and
-        *strategy* is ignored — this is how :mod:`repro.store` rehydrates
-        a persisted lattice.  The core must have been built for exactly
-        this family's members in canonical order (``closed.itemsets()``);
-        a node-count mismatch raises.
+        A prebuilt :class:`~repro.core.order.PackedOrderCore` over the
+        family's canonical member order.  When given, the (expensive)
+        containment and transitive-reduction passes are skipped entirely
+        — this is how :mod:`repro.store` rehydrates a persisted lattice.
+        The core must have been built for exactly this family's members
+        in canonical order (``closed.itemsets()``); a node-count mismatch
+        raises.
     workers:
-        Worker count for the sharded construction kernels of the packed
+        Worker count for the sharded construction kernels of the order
         core (``None`` = the ``REPRO_NUM_WORKERS`` environment variable,
         else serial; ``0`` = all cores).  The built lattice is
         byte-identical for any worker count; ignored when *order_core*
-        is given or a non-packed strategy resolves.
+        is given.
     retain_containment:
-        When ``False`` the packed core drops the ``n**2 / 8``-byte
+        When ``False`` the order core drops the ``n**2 / 8``-byte
         containment words after extracting the Hasse edges and answers
         containment queries by mask probing — the memory-lean mode of
         query-only consumers such as ``repro serve``.
@@ -141,8 +124,7 @@ class IcebergLattice:
     def __init__(
         self,
         closed: ClosedItemsetFamily,
-        strategy: str = "auto",
-        order_core: "OrderCore | None" = None,
+        order_core: PackedOrderCore | None = None,
         workers: int | None = None,
         retain_containment: bool = True,
     ) -> None:
@@ -168,27 +150,10 @@ class IcebergLattice:
                     f"prebuilt order core covers {order_core.n} members, "
                     f"family has {len(members)}"
                 )
-            self._strategy = order_core.strategy
             self._core = order_core
         else:
-            self._strategy = resolve_strategy(len(members), strategy)
-            reference_edges = None
-            if self._strategy == "reference":
-                edges = hasse_edges_reference(closed)
-                reference_edges = (
-                    np.array(
-                        [self._index[smaller] for smaller, _ in edges], dtype=np.int64
-                    ),
-                    np.array(
-                        [self._index[larger] for _, larger in edges], dtype=np.int64
-                    ),
-                )
-            self._core = build_order_core(
-                masks,
-                self._strategy,
-                reference_edges,
-                workers=workers,
-                retain_containment=retain_containment,
+            self._core = PackedOrderCore(
+                masks, workers=workers, retain_containment=retain_containment
             )
         self._hasse_rows, self._hasse_cols = self._core.hasse_indices()
         # The index/support arrays are handed out to the basis
@@ -207,12 +172,7 @@ class IcebergLattice:
         return self._closed
 
     @property
-    def strategy(self) -> str:
-        """The resolved order-core strategy (``dense``/``packed``/``reference``)."""
-        return self._strategy
-
-    @property
-    def order_core(self) -> OrderCore:
+    def order_core(self) -> PackedOrderCore:
         """The underlying order core (what :mod:`repro.store` persists)."""
         return self._core
 
@@ -353,7 +313,7 @@ class IcebergLattice:
         return int(self._supports[col]) / denominator if denominator else 0.0
 
     # ------------------------------------------------------------------
-    # Order structure (strategy-agnostic accessors)
+    # Order structure
     # ------------------------------------------------------------------
     def is_ancestor(self, smaller: Itemset, larger: Itemset) -> bool:
         """``True`` iff both are nodes and ``smaller ⊂ larger`` (strictly).
@@ -403,14 +363,6 @@ class IcebergLattice:
         """
         col = self._index[itemset]
         return sorted(self._members[row] for row in self._core.predecessors(col))
-
-    def immediate_successors(self, itemset: Itemset) -> list[Itemset]:
-        """Alias of :meth:`children_of` (the pre-seam accessor name)."""
-        return self.children_of(itemset)
-
-    def immediate_predecessors(self, itemset: Itemset) -> list[Itemset]:
-        """Alias of :meth:`parents_of` (the pre-seam accessor name)."""
-        return self.parents_of(itemset)
 
     def minimal_elements(self) -> list[Itemset]:
         """Nodes with no predecessor (usually the single closure of ∅)."""

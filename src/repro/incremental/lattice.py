@@ -20,7 +20,7 @@ Hasse diagram wherever the node neighbourhood is intact:
   recomputed containment).
 
 Because the edge *set* of a transitive reduction is unique and
-:class:`~repro.core.order.OrderCore` canonicalises edge order by
+:class:`~repro.core.order.PackedOrderCore` canonicalises edge order by
 lexsort, the repaired core is byte-identical to one built from scratch.
 """
 

@@ -521,10 +521,11 @@ class ServeApp:
         """Reload the store if requested or if the file was replaced.
 
         The new snapshot is built completely before being swapped in
-        with one atomic attribute assignment; a load failure (e.g. a
-        half-written replacement) keeps the previous snapshot serving
-        and is surfaced through ``GET /metrics``.  The same failed file
-        signature is not retried until the file changes again.
+        with one atomic attribute assignment; a load failure of any kind
+        (e.g. a half-written replacement) keeps the previous snapshot
+        serving and is surfaced through ``GET /metrics``.  The same
+        failed file signature is not retried until the file changes
+        again.
         """
         changed = (
             self._watch
@@ -545,7 +546,10 @@ class ServeApp:
                 return  # another thread already handled it
             try:
                 fresh = self._load(generation=self._loaded.generation + 1)
-            except ReproError as exc:
+            except Exception as exc:
+                # Not only ReproError: whatever a replacement file makes
+                # the loader raise, the daemon must keep serving its last
+                # good generation instead of failing every request.
                 self._failed_signature = current
                 self.metrics.record_reload(
                     error=str(exc),

@@ -38,8 +38,7 @@ with a different major version loudly instead of mis-parsing them.
 from __future__ import annotations
 
 import json
-import zipfile
-import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 from collections.abc import Iterable, Mapping, Sequence
@@ -54,7 +53,12 @@ from ..core.lattice import IcebergLattice
 from ..core.order import PackedOrderCore, pack_itemset_masks
 from ..core.rulearrays import RuleArrays, pack_itemsets_into, sorted_universe
 from ..data.context import TransactionDatabase
-from ..errors import InvalidParameterError, StoreFormatError, StoreIntegrityError
+from ..errors import (
+    InvalidParameterError,
+    ReproError,
+    StoreFormatError,
+    StoreIntegrityError,
+)
 from ..ioutils import atomic_write
 from .integrity import (
     DIGEST_ALGORITHM,
@@ -383,7 +387,6 @@ def save_run(
         payload["order__rows"] = np.asarray(hasse_rows, dtype=np.int64)
         payload["order__cols"] = np.asarray(hasse_cols, dtype=np.int64)
         manifest["order"] = {
-            "strategy": lattice.strategy,
             "n": len(lattice),
             "n_edges": lattice.edge_count(),
         }
@@ -420,7 +423,16 @@ def save_run(
     return path
 
 
-def _parse_manifest(raw: np.ndarray, source: str | Path) -> dict:
+def _parse_manifest(data, source: str | Path) -> dict:
+    """The validated manifest of an opened container.
+
+    A container without a manifest member is treated as damaged (an
+    integrity failure), since every container :func:`save_run` writes
+    has one — a garbled zip directory entry looks exactly like this.
+    """
+    if "manifest" not in data:
+        raise StoreIntegrityError(f"{source} has no store manifest")
+    raw = data["manifest"]
     try:
         manifest = json.loads(np.asarray(raw, dtype=np.uint8).tobytes().decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
@@ -439,34 +451,37 @@ def _parse_manifest(raw: np.ndarray, source: str | Path) -> dict:
     return manifest
 
 
+@contextmanager
 def _open_container(path: Path):
-    """``np.load`` with every not-an-NPZ failure mapped to StoreFormatError.
+    """Open an NPZ container; map every failure to read it to a typed error.
 
-    numpy's own errors here are misleading (a text file surfaces as a
-    pickle complaint, a truncated one as BadZipFile); the documented
-    contract is one loud :class:`~repro.errors.StoreFormatError` for
-    anything that is not a readable store container.
+    NPZ members are decompressed lazily, when a key is first read — long
+    after ``np.load`` returned — so the guard spans the whole ``with``
+    body, not just the open.  numpy's own errors are misleading (a text
+    file surfaces as a pickle complaint, a truncated one as BadZipFile, a
+    flipped byte as ``zlib.error``, a CRC mismatch or a garbled array
+    header), so anything but a missing file or a library error raised by
+    the body becomes one :class:`~repro.errors.StoreIntegrityError`: the
+    file existed but cannot be what was saved.
     """
     try:
-        return np.load(path, allow_pickle=False)
+        with np.load(path, allow_pickle=False) as data:
+            yield data
     except FileNotFoundError:
         raise StoreFormatError(f"store file not found: {path}") from None
-    except (ValueError, OSError, zipfile.BadZipFile, zlib.error, EOFError) as exc:
-        # Truncated or otherwise undecodable bytes are an integrity
-        # failure (the file existed but cannot be what was saved), which
-        # subclasses the documented StoreFormatError contract.
+    except ReproError:
+        raise
+    except Exception as exc:
         raise StoreIntegrityError(
-            f"{path} is not a readable store container ({exc})"
-        ) from None
+            f"{path} is not a readable store container ({exc!r})"
+        ) from exc
 
 
 def read_manifest(path: str | Path) -> dict:
     """The validated manifest of a container, without loading any section."""
     path = Path(path)
     with _open_container(path) as data:
-        if "manifest" not in data:
-            raise StoreFormatError(f"{path} has no store manifest")
-        return _parse_manifest(data["manifest"], path)
+        return _parse_manifest(data, path)
 
 
 def load_run(
@@ -516,15 +531,15 @@ def load_run(
         When the file is not a store container or its format name or
         version does not match this reader.
     StoreIntegrityError
-        When the container fails integrity verification (truncated or
-        undecodable file, missing/extra arrays, digest mismatch).
+        When the container fails integrity verification (missing/extra
+        arrays, digest mismatch) or any of its bytes cannot be read back
+        (truncated file, flipped or zeroed bytes, garbled array headers),
+        whatever the verify mode.
     """
     path = Path(path)
     resolve_verify_mode(verify)
     with _open_container(path) as data:
-        if "manifest" not in data:
-            raise StoreFormatError(f"{path} has no store manifest")
-        manifest = _parse_manifest(data["manifest"], path)
+        manifest = _parse_manifest(data, path)
         verify_container(data, manifest, path, verify)
         present = set(manifest.get("sections", []))
         wanted = present if sections is None else set(sections) & present
@@ -533,16 +548,7 @@ def load_run(
         wanted &= present
 
         run = StoredRun(path=path, manifest=manifest)
-        try:
-            _load_sections(run, data, manifest, wanted, retain_containment)
-        except (zipfile.BadZipFile, zlib.error, EOFError, KeyError) as exc:
-            # A flipped byte inside a compressed member surfaces as a
-            # zip/zlib decode failure (or a missing key) at read time;
-            # map it to the documented corruption error regardless of
-            # the verify mode in effect.
-            raise StoreIntegrityError(
-                f"{path}: container section data is corrupted ({exc!r})"
-            ) from None
+        _load_sections(run, data, manifest, wanted, retain_containment)
         return run
 
 

@@ -26,8 +26,8 @@ class TestEntryPointDeclaration:
     def test_pyproject_declares_repro_script(self):
         pyproject = (REPO_ROOT / "pyproject.toml").read_text(encoding="utf-8")
         assert 'repro = "repro.experiments.cli:main"' in pyproject
-        # The historical name keeps working too.
-        assert 'repro-mine = "repro.experiments.cli:main"' in pyproject
+        # ``repro`` is the one console script; no alias names remain.
+        assert "repro-mine" not in pyproject
 
 
 class TestHelp:

@@ -194,7 +194,132 @@ class TestCorruptionMatrix:
         assert issubclass(StoreIntegrityError, StoreFormatError)
 
 
+def member_data_span(path, member: str) -> tuple[int, int]:
+    """Byte range ``[start, stop)`` of *member*'s compressed data in a zip."""
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo(member)
+    data = path.read_bytes()
+    offset = info.header_offset
+    # Local file header: 30 fixed bytes, then the name and extra fields
+    # (whose lengths live at offsets 26 and 28 of the header).
+    name_len = int.from_bytes(data[offset + 26 : offset + 28], "little")
+    extra_len = int.from_bytes(data[offset + 28 : offset + 30], "little")
+    start = offset + 30 + name_len + extra_len
+    return start, start + info.compress_size
+
+
+def corruption_corpus(path, seed: int = 0, per_kind: int = 30):
+    """Seeded truncations, bit flips and zeroed ranges of a saved store.
+
+    Yields ``(label, bytes)``.  The ``member`` kind flips bits strictly
+    inside one member's *compressed* data, where numpy only notices at
+    read time, long after the container was opened.
+    """
+    rng = np.random.default_rng(seed)
+    data = path.read_bytes()
+    with zipfile.ZipFile(path) as archive:
+        members = archive.namelist()
+    for index in range(per_kind):
+        cut = int(rng.integers(0, len(data)))
+        yield f"truncate-{index}@{cut}", data[:cut]
+    for index in range(per_kind):
+        mutated = bytearray(data)
+        position = int(rng.integers(0, len(data)))
+        mutated[position] ^= 1 << int(rng.integers(0, 8))
+        yield f"flip-{index}@{position}", bytes(mutated)
+    for index in range(per_kind):
+        mutated = bytearray(data)
+        start = int(rng.integers(0, len(data)))
+        stop = min(len(data), start + int(rng.integers(1, 64)))
+        mutated[start:stop] = bytes(stop - start)
+        yield f"zero-{index}@{start}:{stop}", bytes(mutated)
+    for index in range(per_kind):
+        member = members[int(rng.integers(0, len(members)))]
+        start, stop = member_data_span(path, member)
+        mutated = bytearray(data)
+        position = int(rng.integers(start, stop))
+        mutated[position] ^= 1 << int(rng.integers(0, 8))
+        yield f"member-{member}-{index}@{position}", bytes(mutated)
+
+
+class TestCorruptionCorpus:
+    """Hostile bytes end in StoreIntegrityError, never a raw exception."""
+
+    def test_flipped_byte_inside_compressed_manifest(self, store_path):
+        start, stop = member_data_span(store_path, "manifest.npy")
+        mutated = bytearray(store_path.read_bytes())
+        mutated[(start + stop) // 2] ^= 0xFF
+        store_path.write_bytes(bytes(mutated))
+        for verify in ("off", "manifest", "full"):
+            with pytest.raises(StoreIntegrityError):
+                load_run(store_path, verify=verify)
+        with pytest.raises(StoreIntegrityError):
+            read_manifest(store_path)
+
+    def test_corpus_loads_or_raises_integrity_error(self, store_path, tmp_path):
+        victim = tmp_path / "victim.npz"
+        raised = 0
+        for label, payload in corruption_corpus(store_path):
+            victim.write_bytes(payload)
+            for verify in ("off", "manifest", "full"):
+                for retain in (True, False):
+                    try:
+                        load_run(victim, verify=verify, retain_containment=retain)
+                    except StoreIntegrityError:
+                        raised += 1
+                    except Exception as exc:  # pragma: no cover - the bug
+                        pytest.fail(
+                            f"{label} (verify={verify}, retain={retain}) "
+                            f"escaped as {type(exc).__name__}: {exc}"
+                        )
+        assert raised > 0
+
+    def test_daemon_keeps_serving_through_the_corpus(self, store_path, tmp_path):
+        app = ServeApp(store_path, watch=False)
+        original = store_path.read_bytes()
+        for label, payload in corruption_corpus(store_path, seed=1, per_kind=5):
+            store_path.write_bytes(payload)
+            app.request_reload()
+            status, health = app.handle("GET", "/healthz")
+            assert status == 200, label
+            status, _ = app.handle("GET", "/bases/dg/rules")
+            assert status == 200, label
+        store_path.write_bytes(original)
+        app.request_reload()
+        status, health = app.handle("GET", "/healthz")
+        assert status == 200 and health["status"] == "ok"
+
+
 class TestReloadKeepsOldGeneration:
+    def test_any_load_failure_is_recorded_not_raised(
+        self, store_path, monkeypatch
+    ):
+        """A non-library exception from the loader must not escape either."""
+        import zlib
+
+        from repro.serve import app as app_module
+
+        app = ServeApp(store_path)
+        calls = []
+
+        def broken_load_run(*args, **kwargs):
+            calls.append(args)
+            raise zlib.error("Error -3 while decompressing data")
+
+        monkeypatch.setattr(app_module, "load_run", broken_load_run)
+        data = store_path.read_bytes()
+        store_path.write_bytes(data + b"\0")  # a new signature to notice
+        for _ in range(3):
+            status, payload = app.handle("GET", "/healthz")
+            assert status == 200 and payload["generation"] == 1
+        # The failed signature is recorded, so the broken file is tried
+        # once, not on every request.
+        assert len(calls) == 1
+        status, metrics = app.handle("GET", "/metrics")
+        assert metrics["reload_failures"] == 1
+        assert "decompressing" in metrics["last_reload_error"]
+
+
     def test_corrupt_replacement_keeps_serving(self, store_path):
         app = ServeApp(store_path, watch=False)
         status, healthy = app.handle("GET", "/healthz")

@@ -52,19 +52,19 @@ class TestStructure:
 
 
 class TestNeighbourhoods:
-    def test_immediate_successors(self, toy_lattice):
-        assert toy_lattice.immediate_successors(Itemset("c")) == [
+    def test_children_of(self, toy_lattice):
+        assert toy_lattice.children_of(Itemset("c")) == [
             Itemset("ac"),
             Itemset("bce"),
         ]
-        assert toy_lattice.immediate_successors(Itemset("abce")) == []
+        assert toy_lattice.children_of(Itemset("abce")) == []
 
-    def test_immediate_predecessors(self, toy_lattice):
-        assert toy_lattice.immediate_predecessors(Itemset("abce")) == [
+    def test_parents_of(self, toy_lattice):
+        assert toy_lattice.parents_of(Itemset("abce")) == [
             Itemset("ac"),
             Itemset("bce"),
         ]
-        assert toy_lattice.immediate_predecessors(Itemset("c")) == []
+        assert toy_lattice.parents_of(Itemset("c")) == []
 
     def test_minimal_and_maximal_elements(self, toy_lattice):
         assert toy_lattice.minimal_elements() == [Itemset("c"), Itemset("be")]

@@ -9,13 +9,16 @@ prints byte-identical output to the cold (mined) run.
 
 from __future__ import annotations
 
+import io
+
 import numpy as np
 import pytest
 
 from repro import store
 from repro.bases import registered_names
 from repro.core.itemset import Itemset
-from repro.core.lattice import IcebergLattice
+from repro.core.lattice import IcebergLattice, hasse_edges_reference
+from repro.core.luxenburger import LuxenburgerBasis
 from repro.core.order import PackedOrderCore
 from repro.data.context import TransactionDatabase
 from repro.data.synthetic import make_rule_dense_family, make_star_closed_family
@@ -29,6 +32,7 @@ from repro.experiments.harness import (
 )
 
 from conftest import make_random_db
+from order_oracles import reference_edge_indices, reference_lattice
 
 
 @pytest.fixture(scope="module")
@@ -106,7 +110,7 @@ class TestRoundTrip:
         right = sorted(zip(*lattice.containment_indices()))
         assert left == right
         # The stored packed containment equals a fresh packed build.
-        rebuilt = IcebergLattice(run.lattice.closed_family, strategy="packed")
+        rebuilt = IcebergLattice(run.lattice.closed_family)
         assert run.lattice.order_core.packed_containment_matrix().equals(
             rebuilt.order_core.packed_containment_matrix()
         )
@@ -133,6 +137,37 @@ class TestRoundTrip:
             "order",
             "rules",
         }
+        assert manifest["order"] == {"n": 5, "n_edges": 5}
+
+    def test_legacy_order_strategy_key_is_ignored(
+        self, toy_store_path, tmp_path, capsys
+    ):
+        """Stores written by older versions record ``order.strategy``."""
+        import json
+        import zipfile
+
+        legacy = tmp_path / "legacy.npz"
+        with zipfile.ZipFile(toy_store_path) as source, zipfile.ZipFile(
+            legacy, "w", zipfile.ZIP_DEFLATED
+        ) as target:
+            for name in source.namelist():
+                payload = source.read(name)
+                if name == "manifest.npy":
+                    header_end = payload.index(b"\n") + 1
+                    manifest = json.loads(payload[header_end:])
+                    manifest["order"]["strategy"] = "dense"
+                    body = json.dumps(manifest, sort_keys=True).encode("utf-8")
+                    buffer = io.BytesIO()
+                    np.save(buffer, np.frombuffer(body, dtype=np.uint8))
+                    payload = buffer.getvalue()
+                target.writestr(name, payload)
+        run = store.load_run(legacy, verify="full")
+        assert run.manifest["order"]["strategy"] == "dense"
+        assert run.lattice.hasse_edges() == store.load_run(
+            toy_store_path
+        ).lattice.hasse_edges()
+        assert cli.main(["load", str(legacy)]) == 0
+        assert "  lattice: 5 nodes, 5 edges\n" in capsys.readouterr().out
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_random_databases(self, tmp_path, seed):
@@ -252,35 +287,28 @@ class TestWarmStart:
         assert "minconf=0.9" in warm
         assert warm == mined
 
-    def test_env_forced_strategy_overrides_stored_core(
-        self, toy_store_path, monkeypatch
-    ):
-        from repro.core.order import STRATEGY_ENV_VAR
-
-        run = store.load_run(toy_store_path)
-        monkeypatch.setenv(STRATEGY_ENV_VAR, "reference")
-        warm = build_rule_artifacts_from_store(run, bases=("luxenburger-reduced",))
-        assert warm.context.lattice is not run.lattice
-        assert warm.context.lattice.strategy == "reference"
-
     def test_nameless_store_reads_as_unnamed(self, tmp_path, toy_mining):
         path = tmp_path / "nameless.npz"
         store.save_run(path, closed=toy_mining.closed, minsup=0.4)
         run = store.load_run(path)
         assert run.name == "unnamed"
 
-    def test_forced_lattice_strategy_overrides_stored_core(self, toy_store_path):
-        """An explicit strategy must actually run, not serve the stored core."""
+    def test_stored_lattice_matches_reference_oracle(self, toy_store_path):
+        """A warm start adopts the stored core, and that core is the oracle's."""
         run = store.load_run(toy_store_path)
-        warm = build_rule_artifacts_from_store(
-            run, bases=("luxenburger-reduced",), lattice_strategy="reference"
+        assert run.lattice.hasse_edges() == hasse_edges_reference(run.closed)
+        rows, cols = run.lattice.hasse_edge_indices()
+        ref_rows, ref_cols = reference_edge_indices(run.closed)
+        assert np.array_equal(rows, ref_rows) and np.array_equal(cols, ref_cols)
+        warm = build_rule_artifacts_from_store(run, bases=("luxenburger-reduced",))
+        assert warm.context.lattice is run.lattice
+        oracle = LuxenburgerBasis(
+            run.closed,
+            minconf=run.minconf,
+            lattice=reference_lattice(run.closed),
         )
-        assert warm.context.lattice is not run.lattice
-        assert warm.context.lattice.strategy == "reference"
         assert warm["luxenburger-reduced"].rules.same_rules_and_statistics(
-            build_rule_artifacts_from_store(run, bases=("luxenburger-reduced",))[
-                "luxenburger-reduced"
-            ].rules
+            oracle.rules
         )
 
     def test_cli_user_errors_are_clean(self, tmp_path, capsys):
