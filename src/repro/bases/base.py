@@ -163,10 +163,9 @@ class BuiltBasis:
     def rule_arrays(self):
         """The basis in columnar form (:class:`~repro.core.rulearrays.RuleArrays`).
 
-        The array-native constructions build their rules as columns in
-        the first place, so for those this is a zero-copy accessor; for
-        object-built rule sets the columns are packed (and cached) on
-        first use.
+        Every registered basis builds its rules as columns in the first
+        place, so this is a zero-copy accessor; a hand-built object rule
+        set is packed (and cached) on first use.
         """
         return self.rules.to_arrays()
 

@@ -44,7 +44,12 @@ class AllRulesBasis:
 
     def build(self, context: BasisContext) -> BuiltBasis:
         frequent = context.require_frequent(self.name)
-        rules = generate_all_rules(frequent, minconf=context.minconf)
+        rules = generate_all_rules(
+            frequent,
+            minconf=context.minconf,
+            block_rows=context.block_rows,
+            workers=context.workers,
+        )
         return BuiltBasis(
             name=self.name,
             kind=self.kind,
@@ -63,7 +68,9 @@ class ExactRulesBasis:
 
     def build(self, context: BasisContext) -> BuiltBasis:
         frequent = context.require_frequent(self.name)
-        rules = generate_exact_rules(frequent)
+        rules = generate_exact_rules(
+            frequent, block_rows=context.block_rows, workers=context.workers
+        )
         return BuiltBasis(
             name=self.name,
             kind=self.kind,
@@ -82,7 +89,12 @@ class ApproximateRulesBasis:
 
     def build(self, context: BasisContext) -> BuiltBasis:
         frequent = context.require_frequent(self.name)
-        rules = generate_approximate_rules(frequent, minconf=context.minconf)
+        rules = generate_approximate_rules(
+            frequent,
+            minconf=context.minconf,
+            block_rows=context.block_rows,
+            workers=context.workers,
+        )
         return BuiltBasis(
             name=self.name,
             kind=self.kind,

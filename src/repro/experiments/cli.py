@@ -603,8 +603,11 @@ def _command_bases(args: argparse.Namespace) -> int:
         ]
     for title, built in sections:
         print(f"\n{title}:")
-        for rule in built.rules.sorted_rules()[: args.limit]:
-            print(f"  {rule}")
+        # The first --limit rows in canonical rule order (AssociationRule
+        # order), materialised one by one: never the whole basis.
+        arrays = built.rules.to_arrays()
+        for row in arrays.canonical_order()[: args.limit]:
+            print(f"  {arrays.rule_at(int(row))}")
         remaining = len(built) - args.limit
         if args.bases is not None and remaining > 0:
             print(f"  ... and {remaining} more")

@@ -133,3 +133,58 @@ def test_help_pages_pinned(capsys, monkeypatch):
         title = "repro --help" if verb is None else f"repro {verb} --help"
         sections.append(f"$ {title}\n{capsys.readouterr().out}")
     check_golden("cli_help.txt", "\n".join(sections))
+
+
+@pytest.fixture()
+def mushroom_basket(tmp_path) -> Path:
+    """A 300-row MUSHROOM* context as a basket file."""
+    from repro.data.benchmarks_data import make_mushroom
+
+    path = tmp_path / "mushroom.basket"
+    rows = make_mushroom(n_objects=300)
+    path.write_text("".join(" ".join(row) + "\n" for row in rows), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "cell",
+    [("fig1_basket", "0.4", "0.5"), ("mushroom_basket", "0.6", "0.7")],
+    ids=["fig1", "mushroom"],
+)
+@pytest.mark.parametrize("selection", [None, "all-nine"])
+def test_bases_output_materialises_only_printed_rules(
+    request, capsys, monkeypatch, cell, selection
+):
+    """`repro bases` prints ``sorted_rules()[:limit]`` without building them all.
+
+    The printed rules come from the canonical column order, one
+    ``rule_at`` per printed row, so no basis the command built is ever
+    materialised; the lines equal the object-sorted prefix of each basis.
+    """
+    from repro.bases import registered_names
+
+    fixture, minsup, minconf = cell
+    dataset = request.getfixturevalue(fixture)
+    built_by_cli = []
+    build = cli.build_rule_artifacts
+
+    def recording_build(*args, **kwargs):
+        artifacts = build(*args, **kwargs)
+        built_by_cli.append(artifacts)
+        return artifacts
+
+    monkeypatch.setattr(cli, "build_rule_artifacts", recording_build)
+    args = ["bases", "--dataset", str(dataset), "--minsup", minsup]
+    args += ["--minconf", minconf, "--limit", "12"]
+    if selection is not None:
+        args += ["--bases", ",".join(registered_names())]
+    out = run_cli(capsys, *args)
+
+    (artifacts,) = built_by_cli
+    assert artifacts.bases
+    for built in artifacts.bases.values():
+        assert not built.rules.is_materialized(), built.name
+    names = ["dg", "luxenburger-reduced"] if selection is None else registered_names()
+    for name in names:
+        printed = [f"  {rule}" for rule in artifacts[name].rules.sorted_rules()[:12]]
+        assert ":\n" + "\n".join(printed) + "\n" in out, name

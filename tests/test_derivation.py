@@ -8,13 +8,16 @@ confidence — from the bases alone.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro import (
     Apriori,
     BasisDerivation,
     Close,
     LuxenburgerBasis,
+    TransactionDatabase,
     build_duquenne_guigues_basis,
 )
 from repro.algorithms.rule_generation import (
@@ -22,8 +25,10 @@ from repro.algorithms.rule_generation import (
     generate_approximate_rules,
     generate_exact_rules,
 )
+from repro.bases import build_bases
 from repro.core.itemset import Itemset
 from repro.errors import DerivationError, InvalidParameterError
+from repro.experiments.harness import mine_itemsets
 
 
 def build_derivation(db, minsup, minconf=0.0):
@@ -117,3 +122,69 @@ class TestRoundTrip:
         naive = generate_all_rules(frequent, minconf=0.5)
         derived = derivation.derive_all_rules(frequent, 0.5)
         assert naive.same_rules_and_statistics(derived)
+
+
+def assert_same_rows(left, right) -> None:
+    """Same keys in the same universe, with bit-identical statistics."""
+    assert left.universe == right.universe
+    assert left.antecedents.words.tobytes() == right.antecedents.words.tobytes()
+    assert left.consequents.words.tobytes() == right.consequents.words.tobytes()
+    assert np.array_equal(left.support_count, right.support_count)
+    assert left.confidence.tobytes() == right.confidence.tobytes()
+    assert left.support.tobytes() == right.support.tobytes()
+
+
+@st.composite
+def small_contexts(draw):
+    """Random 1-14 row contexts over at most 7 items."""
+    n_items = draw(st.integers(min_value=1, max_value=7))
+    rows = draw(
+        st.lists(
+            st.sets(st.integers(min_value=0, max_value=n_items - 1), max_size=n_items),
+            min_size=1,
+            max_size=14,
+        )
+    )
+    return TransactionDatabase([[f"i{item}" for item in row] for row in rows])
+
+
+class TestTheorems:
+    """The paper's theorems as properties of the array-native bases."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        database=small_contexts(),
+        minsup=st.sampled_from((0.15, 0.3, 0.5)),
+        minconf=st.sampled_from((0.0, 0.4, 0.7, 1.0)),
+    )
+    def test_exact_and_approximate_partition_all(self, database, minsup, minconf):
+        """``exact ⊎ approximate == all``: disjoint keys, identical statistics."""
+        context = mine_itemsets(database, minsup).basis_context(minconf)
+        built = build_bases(context, ["all", "exact", "approximate"])
+        everything = built["all"].rule_arrays
+        exact = built["exact"].rule_arrays
+        approximate = built["approximate"].rule_arrays
+        assert len(exact.intersection(approximate)) == 0
+        assert len(exact) + len(approximate) == len(everything)
+        union = exact.concat(approximate).project_to(everything.universe)
+        assert_same_rows(union.sorted_canonically(), everything.sorted_canonically())
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        database=small_contexts(),
+        minsup=st.sampled_from((0.15, 0.3, 0.5)),
+        minconf=st.sampled_from((0.0, 0.4, 0.7, 1.0)),
+    )
+    def test_dg_and_reduced_luxenburger_derive_all(self, database, minsup, minconf):
+        """Theorems 1-2: every valid rule, with exact support and confidence."""
+        context = mine_itemsets(database, minsup).basis_context(minconf)
+        built = build_bases(context, ["all", "dg", "luxenburger-reduced"])
+        derivation = BasisDerivation(
+            built["dg"].source,
+            built["luxenburger-reduced"].source,
+            n_objects=database.n_objects,
+        )
+        derived = derivation.derive_all_rules(context.frequent, minconf).to_arrays()
+        everything = built["all"].rule_arrays
+        derived = derived.project_to(everything.universe)
+        assert_same_rows(derived.sorted_canonically(), everything.sorted_canonically())

@@ -233,16 +233,27 @@ def assert_rule_arrays_identical(result, oracle, label):
 def assert_artifacts_identical(mining, minconf):
     serial = build_rule_artifacts(mining, minconf, bases=ALL_BASES, workers=1)
     assert len(serial.bases) == 9
-    for workers in WORKER_COUNTS[1:]:
-        parallel = build_rule_artifacts(
-            mining, minconf, bases=ALL_BASES, workers=workers
-        )
-        for name, built in serial.bases.items():
-            assert_rule_arrays_identical(
-                parallel.bases[name].rule_arrays,
-                built.rule_arrays,
-                f"{name} workers={workers}",
+    # Small enough that the `all` emitter streams at least three blocks:
+    # it emits at most one rule per candidate row.
+    small_blocks = len(serial["all"]) // 3
+    assert small_blocks >= 1
+    for workers in WORKER_COUNTS:
+        for block_rows in (None, small_blocks):
+            if workers == 1 and block_rows is None:
+                continue  # the serial baseline itself
+            parallel = build_rule_artifacts(
+                mining,
+                minconf,
+                bases=ALL_BASES,
+                workers=workers,
+                block_rows=block_rows,
             )
+            for name, built in serial.bases.items():
+                assert_rule_arrays_identical(
+                    parallel.bases[name].rule_arrays,
+                    built.rule_arrays,
+                    f"{name} workers={workers} block_rows={block_rows}",
+                )
 
 
 def test_all_nine_bases_byte_identical_toy(toy_db):

@@ -169,10 +169,20 @@ class TestHarnessBlockRows:
     def baseline(self, mining):
         return build_rule_artifacts(mining, minconf=0.5, bases=registered_names())
 
-    @pytest.mark.parametrize("block_rows", [1, 7, 64])
-    def test_every_basis_matches_default_build(self, mining, baseline, block_rows):
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("block_rows", [1, 7, 16])
+    def test_every_basis_matches_default_build(
+        self, mining, baseline, block_rows, workers
+    ):
+        # The `all` emitter (at most one rule per candidate row) streams
+        # at least three blocks at every size under test.
+        assert len(baseline["all"]) >= 3 * block_rows
         artifacts = build_rule_artifacts(
-            mining, minconf=0.5, bases=registered_names(), block_rows=block_rows
+            mining,
+            minconf=0.5,
+            bases=registered_names(),
+            block_rows=block_rows,
+            workers=workers,
         )
         for name in registered_names():
             blocked = artifacts[name]
