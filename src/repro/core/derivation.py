@@ -22,12 +22,16 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 
+import numpy as np
+
 from ..errors import DerivationError, InvalidParameterError
+from .bitmatrix import BitMatrix
 from .constants import EPSILON
 from .dg_basis import DuquenneGuiguesBasis
 from .families import ItemsetFamily
 from .itemset import Item, Itemset
 from .luxenburger import LuxenburgerBasis
+from .rulearrays import RuleArrays, decode_itemsets
 from .rules import AssociationRule, RuleSet
 
 __all__ = ["BasisDerivation"]
@@ -79,18 +83,7 @@ class BasisDerivation:
     # ------------------------------------------------------------------
     def _recover_closed_supports(self) -> dict[Itemset, int]:
         """Recover the support of every frequent closed itemset from the bases."""
-        supports: dict[Itemset, int] = {}
-
-        # Every Luxenburger rule C1 → C2\C1 carries supp(C2) as its support
-        # count, and supp(C1) = supp(C2) / confidence.
-        for rule in self._lux.rules:
-            head = rule.antecedent.union(rule.consequent)
-            count = rule.support_count
-            if count is None:
-                count = round(rule.support * self._n_objects)
-            supports[head] = int(count)
-            antecedent_count = int(round(count / rule.confidence))
-            supports.setdefault(rule.antecedent, antecedent_count)
+        supports = _luxenburger_supports(self._lux.rules.to_arrays(), self._n_objects)
 
         # Exact rules carry supp(h(P)) for their closures.
         for rule in self._dg.rules:
@@ -286,3 +279,52 @@ class BasisDerivation:
         combined = self.derive_exact_rules(frequent)
         combined.update(self.derive_approximate_rules(frequent, minconf))
         return combined
+
+
+def _luxenburger_supports(arrays: RuleArrays, n_objects: int) -> dict[Itemset, int]:
+    """The closed-itemset supports a Luxenburger basis carries, from its columns.
+
+    Every rule ``C1 → C2\\C1`` carries ``supp(C2)`` as its support count
+    (``-1``: recovered from the relative support), and ``supp(C1) =
+    supp(C2) / confidence``.  Replays the per-rule dictionary updates —
+    ``supports[C2] = count`` then ``supports.setdefault(C1, ...)``, row
+    by row — without building a rule object: a head value is the last
+    one written for that itemset, an antecedent value the first, and the
+    dictionary keeps first-occurrence order.  Each distinct mask is
+    decoded into an :class:`Itemset` once.
+    """
+    n = len(arrays)
+    if n == 0:
+        return {}
+    clamped_support = np.clip(arrays.support, 0.0, 1.0)
+    head_counts = np.where(
+        arrays.support_count >= 0,
+        arrays.support_count,
+        np.round(clamped_support * n_objects).astype(np.int64),
+    )
+    antecedent_counts = np.round(
+        head_counts / np.minimum(arrays.confidence, 1.0)
+    ).astype(np.int64)
+
+    # Row i writes its head at position 2i and its antecedent at 2i + 1.
+    antecedents = arrays.antecedents.words
+    keys = np.empty((2 * n, antecedents.shape[1]), dtype=np.uint64)
+    keys[0::2] = antecedents | arrays.consequents.words
+    keys[1::2] = antecedents
+    values = np.empty(2 * n, dtype=np.int64)
+    values[0::2] = head_counts
+    values[1::2] = antecedent_counts
+    if keys.shape[1]:
+        flat = keys.view(np.dtype((np.void, keys.shape[1] * 8))).reshape(-1)
+        _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
+    else:  # empty universe: every key is the empty itemset
+        first, inverse = np.zeros(1, dtype=np.intp), np.zeros(2 * n, dtype=np.intp)
+
+    final = values[first]
+    head_groups, last_reversed = np.unique(inverse[0::2][::-1], return_index=True)
+    final[head_groups] = head_counts[n - 1 - last_reversed]
+    order = np.argsort(first, kind="stable")
+    itemsets = decode_itemsets(
+        BitMatrix(keys[first[order]], len(arrays.universe)), arrays.universe
+    )
+    return dict(zip(itemsets, final[order].tolist()))

@@ -44,6 +44,8 @@ from .itemset import Item, Itemset, _sort_key
 
 __all__ = [
     "RuleArrays",
+    "decode_itemsets",
+    "itemsets_from_cells",
     "pack_itemsets_into",
     "pack_itemset_words",
     "mask_to_itemset",
@@ -159,6 +161,28 @@ def pack_itemsets_into(
 def mask_to_itemset(matrix: BitMatrix, row: int, universe: Sequence[Item]) -> Itemset:
     """Materialise one packed row back into an :class:`Itemset`."""
     return Itemset(universe[position] for position in matrix.row_indices(row))
+
+
+def decode_itemsets(matrix: BitMatrix, universe: Sequence[Item]) -> list[Itemset]:
+    """Materialise every packed row into an :class:`Itemset`, row order kept."""
+    rows, cols = matrix.nonzero()
+    return itemsets_from_cells(rows, cols, matrix.n_rows, universe)
+
+
+def itemsets_from_cells(
+    rows: np.ndarray, cols: np.ndarray, n_rows: int, universe: Sequence[Item]
+) -> list[Itemset]:
+    """One :class:`Itemset` per row from the row-major ``(rows, cols)`` set cells.
+
+    *rows*/*cols* are the coordinates ``np.nonzero`` returns for an
+    ``n_rows × len(universe)`` relation; rows without a cell give the
+    empty itemset.
+    """
+    bounds = np.searchsorted(rows, np.arange(n_rows + 1)).tolist()
+    labels = [universe[col] for col in cols.tolist()]
+    return [
+        Itemset(labels[start:stop]) for start, stop in zip(bounds[:-1], bounds[1:])
+    ]
 
 
 def _reversed_bit_rows(matrix: BitMatrix) -> np.ndarray:

@@ -37,6 +37,7 @@ from typing import TYPE_CHECKING, Any
 import numpy as np
 
 from ..core.itemset import Item, Itemset
+from ..core.rulearrays import itemsets_from_cells
 from ..engine.bitops import iter_bits
 from ..errors import EmptyDatabaseError, InvalidItemsetError, InvalidParameterError
 
@@ -131,7 +132,9 @@ class TransactionDatabase:
         matrix.setflags(write=False)
         self._matrix = matrix
 
-        self._row_itemsets: tuple[Itemset, ...] = tuple(Itemset(row) for row in rows)
+        self._row_itemsets: tuple[Itemset, ...] | None = tuple(
+            Itemset(row) for row in rows
+        )
 
         # Engines (and their bitset/float views) are built lazily on first use.
         from ..engine import resolve_engine_name
@@ -189,11 +192,7 @@ class TransactionDatabase:
         except TypeError:
             appended_items = sorted(new_items, key=repr)
 
-        clone = TransactionDatabase.__new__(TransactionDatabase)
-        clone._name = name or self._name
-        clone._items = self._items + tuple(appended_items)
-        clone._item_index = {item: i for i, item in enumerate(clone._items)}
-
+        items = self._items + tuple(appended_items)
         if object_ids is not None:
             object_ids = list(object_ids)
             if len(object_ids) != len(rows):
@@ -201,25 +200,30 @@ class TransactionDatabase:
                     f"got {len(object_ids)} object ids for {len(rows)} "
                     "appended transactions"
                 )
-            clone._object_ids = self._object_ids + tuple(object_ids)
+            all_object_ids = self._object_ids + tuple(object_ids)
         else:
-            clone._object_ids = self._object_ids + tuple(
+            all_object_ids = self._object_ids + tuple(
                 range(self.n_objects, self.n_objects + len(rows))
             )
 
         n_old, m_old = self._matrix.shape
-        matrix = np.zeros((n_old + len(rows), len(clone._items)), dtype=bool)
+        matrix = np.zeros((n_old + len(rows), len(items)), dtype=bool)
         matrix[:n_old, :m_old] = self._matrix
+        column = {item: i for i, item in enumerate(items)}
         for r, row in enumerate(rows):
             for item in row:
-                matrix[n_old + r, clone._item_index[item]] = True
-        matrix.setflags(write=False)
-        clone._matrix = matrix
-
-        clone._row_itemsets = self._row_itemsets + tuple(
-            Itemset(row) for row in rows
+                matrix[n_old + r, column[item]] = True
+        clone = TransactionDatabase._from_matrix(
+            matrix, items, all_object_ids, name or self._name, self._default_engine
         )
-        clone._default_engine = self._default_engine
+
+        # A lazy parent (a loaded context whose rows were never asked
+        # for) stays lazy: the clone decodes its rows from its own matrix.
+        clone._row_itemsets = (
+            None
+            if self._row_itemsets is None
+            else self._row_itemsets + tuple(Itemset(row) for row in rows)
+        )
         clone._engines = {
             backend: engine.extended(clone)
             for backend, engine in self._engines.items()
@@ -229,6 +233,90 @@ class TransactionDatabase:
     # ------------------------------------------------------------------
     # Alternative constructors
     # ------------------------------------------------------------------
+    @classmethod
+    def _from_matrix(
+        cls,
+        matrix: np.ndarray,
+        items: tuple,
+        object_ids: tuple,
+        name: str,
+        engine: str,
+    ) -> "TransactionDatabase":
+        """Wrap a finished relation; the row itemsets are decoded lazily."""
+        database = cls.__new__(cls)
+        database._name = name
+        database._items = items
+        database._item_index = {item: i for i, item in enumerate(items)}
+        database._object_ids = object_ids
+        matrix.setflags(write=False)
+        database._matrix = matrix
+        database._row_itemsets = None
+        database._default_engine = engine
+        database._engines = {}
+        return database
+
+    @classmethod
+    def from_csr(
+        cls,
+        indptr: np.ndarray,
+        item_ids: np.ndarray,
+        items: Sequence[Item],
+        name: str | None = None,
+    ) -> "TransactionDatabase":
+        """Build a database from the CSR columns of its relation.
+
+        Row ``r`` holds the items ``items[item_ids[indptr[r]:indptr[r + 1]]]``
+        — the layout of the artifact store's ``context`` section.  The
+        dense matrix is filled by one numpy scatter and no per-row Python
+        object is built: :meth:`transactions` (and iteration) decode the
+        row itemsets from the matrix on first use.  The result equals
+        ``TransactionDatabase(rows, item_order=items, name=name)``.
+
+        Raises
+        ------
+        InvalidParameterError
+            When the columns do not describe a relation over *items*:
+            offsets not starting at 0, decreasing or not ending at
+            ``len(item_ids)``, an item id outside ``[0, len(items))``, or
+            a repeated item label.
+        """
+        from ..engine import resolve_engine_name
+
+        items = tuple(items)
+        if len(set(items)) != len(items):
+            raise InvalidParameterError("the item universe repeats an item")
+        indptr = np.asarray(indptr)
+        item_ids = np.asarray(item_ids)
+        for label, column in (("indptr", indptr), ("item_ids", item_ids)):
+            if column.ndim != 1 or column.dtype.kind not in "iu":
+                raise InvalidParameterError(
+                    f"{label} must be a one-dimensional integer array"
+                )
+        lengths = np.diff(indptr)
+        if (
+            len(indptr) == 0
+            or indptr[0] != 0
+            or indptr[-1] != len(item_ids)
+            or (lengths < 0).any()
+        ):
+            raise InvalidParameterError(
+                "indptr must rise from 0 to len(item_ids) without decreasing"
+            )
+        if len(item_ids) and (item_ids.min() < 0 or item_ids.max() >= len(items)):
+            raise InvalidParameterError(
+                f"item ids must lie in [0, {len(items)})"
+            )
+        n_rows = len(indptr) - 1
+        matrix = np.zeros((n_rows, len(items)), dtype=bool)
+        matrix[np.repeat(np.arange(n_rows), lengths), item_ids] = True
+        return cls._from_matrix(
+            matrix,
+            items,
+            tuple(range(n_rows)),
+            name or "unnamed",
+            resolve_engine_name(None),
+        )
+
     @classmethod
     def from_pairs(
         cls,
@@ -286,7 +374,7 @@ class TransactionDatabase:
     @property
     def n_objects(self) -> int:
         """Number of objects (transactions) ``|O|``."""
-        return len(self._row_itemsets)
+        return self._matrix.shape[0]
 
     @property
     def n_items(self) -> int:
@@ -357,7 +445,7 @@ class TransactionDatabase:
         return self.n_objects
 
     def __iter__(self) -> Iterator[Itemset]:
-        return iter(self._row_itemsets)
+        return iter(self.transactions())
 
     def __repr__(self) -> str:
         return (
@@ -367,15 +455,25 @@ class TransactionDatabase:
 
     def transaction(self, index: int) -> Itemset:
         """Return the itemset of the object at row *index*."""
-        return self._row_itemsets[index]
+        return self.transactions()[index]
 
     def transactions(self) -> tuple[Itemset, ...]:
-        """Return all transactions as a tuple of itemsets."""
+        """Return all transactions as a tuple of itemsets.
+
+        A context built from its matrix (:meth:`from_csr`) decodes the
+        tuple on the first call and keeps it.
+        """
+        if self._row_itemsets is None:
+            # Racing first callers decode equal tuples; either one may stick.
+            rows, cols = np.nonzero(self._matrix)
+            self._row_itemsets = tuple(
+                itemsets_from_cells(rows, cols, self.n_objects, self._items)
+            )
         return self._row_itemsets
 
     def relation_pairs(self) -> Iterator[tuple[Any, Item]]:
         """Yield the relation ``R`` as explicit ``(object id, item)`` pairs."""
-        for row, oid in zip(self._row_itemsets, self._object_ids):
+        for row, oid in zip(self.transactions(), self._object_ids):
             for item in row:
                 yield (oid, item)
 
@@ -564,13 +662,13 @@ class TransactionDatabase:
         if unknown:
             raise InvalidItemsetError(f"unknown items: {sorted(map(repr, unknown))}")
         keep_set = keep.as_frozenset()
-        order = [item for item in self._items if item in keep_set]
-        return TransactionDatabase(
-            (row.intersection(keep_set).as_frozenset() for row in self._row_itemsets),
-            item_order=order,
-            object_ids=self._object_ids,
-            name=self._name,
-            engine=self._default_engine,
+        columns = [i for i, item in enumerate(self._items) if item in keep_set]
+        return TransactionDatabase._from_matrix(
+            self._matrix[:, columns],
+            tuple(self._items[i] for i in columns),
+            self._object_ids,
+            self._name,
+            self._default_engine,
         )
 
     def restrict_to_frequent_items(self, minsup: float) -> "TransactionDatabase":

@@ -103,7 +103,11 @@ def update_store(
     """
     from .. import store
 
-    stored = store.load_run(path)
+    # The rule columns are rebuilt below, so only the sections the repair
+    # reads are decoded; the basis selection comes from the manifest.
+    stored = store.load_run(
+        path, sections=("context", "frequent", "closed", "generators", "order")
+    )
     mining = _mining_from_store(stored)
     batch_rows = [frozenset(t) for t in batch]
     removed_count = 0
@@ -131,7 +135,7 @@ def update_store(
         workers=workers,
     )
     artifacts = None
-    basis_names = list(stored.basis_kinds) or None
+    basis_names = list(store.basis_kinds(stored.manifest)) or None
     if stored.minconf is not None:
         context = BasisContext(
             closed=result.mining.closed,

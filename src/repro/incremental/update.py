@@ -226,7 +226,7 @@ def update_mining(
         )
 
     added = [Itemset(row) for row in batch_rows]
-    removed = list(old_db.transactions()[:removed_count])
+    removed = list(old_db.transactions()[:removed_count]) if removed_count else []
     old_closed = mining.closed
     closed_members = old_closed.itemsets()
 

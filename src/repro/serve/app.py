@@ -57,6 +57,7 @@ __all__ = [
     "MAX_PAGE_LIMIT",
     "MAX_RECOMMEND_K",
     "RECOMMEND_BASIS_PREFERENCE",
+    "SERVED_SECTIONS",
 ]
 
 #: Default capacity of the per-store answer cache.
@@ -73,6 +74,9 @@ DEFAULT_RECOMMEND_K = 5
 
 #: Hard ceiling of the ``k`` body parameter of ``POST /recommend``.
 MAX_RECOMMEND_K = 100
+
+#: The store sections a (re)load decodes; the rest are only verified.
+SERVED_SECTIONS = ("frequent", "closed", "order", "rules")
 
 #: Default-basis preference of ``POST /recommend`` when the body names
 #: none: the first of these that the store holds answers the query,
@@ -252,6 +256,8 @@ class _Metrics:
         self._rejected = 0
         self._deadline_exceeded = 0
         self._last_reload_error: str | None = None
+        self._last_reload_seconds: float | None = None
+        self._reload_seconds_total = 0.0
         self._routes: dict[str, dict[str, float]] = {}
 
     def record_reject(self) -> None:
@@ -284,12 +290,21 @@ class _Metrics:
             )
 
     def record_reload(
-        self, error: str | None = None, integrity: bool = False
+        self,
+        error: str | None = None,
+        integrity: bool = False,
+        seconds: float = 0.0,
     ) -> None:
-        """Record a reload attempt (successful when *error* is ``None``)."""
+        """Record a reload attempt (successful when *error* is ``None``).
+
+        *seconds* is the wall time a successful reload took to build
+        the new snapshot.
+        """
         with self._lock:
             if error is None:
                 self._reloads += 1
+                self._last_reload_seconds = seconds
+                self._reload_seconds_total += seconds
             else:
                 self._reload_failures += 1
                 if integrity:
@@ -319,6 +334,8 @@ class _Metrics:
                 "qps": self._requests / uptime,
                 "reloads": self._reloads,
                 "reload_failures": self._reload_failures,
+                "last_reload_seconds": self._last_reload_seconds,
+                "reload_seconds_total": self._reload_seconds_total,
                 "integrity_failures": self._integrity_failures,
                 "rejected_total": self._rejected,
                 "deadline_exceeded_total": self._deadline_exceeded,
@@ -455,8 +472,12 @@ class ServeApp:
         """Load the store file into a fresh :class:`LoadedStore` snapshot."""
         get_injector().fire("store.load", path=self._path)
         signature = _signature(self._path)
+        # Only what the snapshot serves is decoded: the context is never
+        # read (the closed family carries n_objects) and neither are the
+        # generators.  ``verify`` still covers every array of the file.
         stored = load_run(
             self._path,
+            sections=SERVED_SECTIONS,
             retain_containment=self._retain_containment,
             verify=self._verify,
         )
@@ -544,6 +565,7 @@ class ServeApp:
                      or current == self._failed_signature)
             ):
                 return  # another thread already handled it
+            started = time.perf_counter()
             try:
                 fresh = self._load(generation=self._loaded.generation + 1)
             except Exception as exc:
@@ -559,7 +581,7 @@ class ServeApp:
             self._failed_signature = None
             self._loaded = fresh
             self.cache.clear()
-            self.metrics.record_reload()
+            self.metrics.record_reload(seconds=time.perf_counter() - started)
 
     # ------------------------------------------------------------------
     # Request dispatch

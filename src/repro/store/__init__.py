@@ -32,6 +32,7 @@ from .npz import (
     FORMAT_NAME,
     FORMAT_VERSION,
     StoredRun,
+    basis_kinds,
     load_run,
     read_manifest,
     save_run,
@@ -41,6 +42,7 @@ __all__ = [
     "FORMAT_NAME",
     "FORMAT_VERSION",
     "StoredRun",
+    "basis_kinds",
     "save_run",
     "load_run",
     "read_manifest",

@@ -27,6 +27,7 @@ from __future__ import annotations
 import hashlib
 import zipfile
 import zlib
+from collections.abc import Collection
 
 import numpy as np
 
@@ -106,7 +107,9 @@ def resolve_verify_mode(verify: str) -> str:
     return verify
 
 
-def verify_container(data, manifest: dict, source, verify: str) -> None:
+def verify_container(
+    data, manifest: dict, source, verify: str, keep: Collection[str] = ()
+) -> dict[str, np.ndarray]:
     """Check one opened container against its manifest's integrity section.
 
     Parameters
@@ -122,6 +125,15 @@ def verify_container(data, manifest: dict, source, verify: str) -> None:
         ``"manifest"`` checks the array inventory both ways;
         ``"full"`` additionally decompresses every array and compares
         its SHA-256 digest against the recorded one.
+    keep : collection of str
+        Keys whose arrays the caller reads next.  ``"full"`` mode hands
+        those it decompressed back instead of dropping them, so no
+        member is decompressed twice.
+
+    Returns
+    -------
+    dict[str, numpy.ndarray]
+        The verified arrays named in *keep* (empty unless ``"full"``).
 
     Raises
     ------
@@ -133,7 +145,7 @@ def verify_container(data, manifest: dict, source, verify: str) -> None:
         When *verify* is not a recognized mode.
     """
     if resolve_verify_mode(verify) == "off":
-        return
+        return {}
     integrity = manifest.get("integrity")
     if not isinstance(integrity, dict) or "arrays" not in integrity:
         raise StoreIntegrityError(
@@ -162,10 +174,12 @@ def verify_container(data, manifest: dict, source, verify: str) -> None:
             f"recorded: {', '.join(unlisted)}"
         )
     if verify != "full":
-        return
+        return {}
+    decoded: dict[str, np.ndarray] = {}
     for key in sorted(listed):
         try:
-            actual = array_digest(data[key])
+            array = data[key]
+            actual = array_digest(array)
         except (ValueError, OSError, zipfile.BadZipFile, zlib.error, EOFError) as exc:
             raise StoreIntegrityError(
                 f"{source}: array {key!r} is unreadable ({exc})"
@@ -176,3 +190,6 @@ def verify_container(data, manifest: dict, source, verify: str) -> None:
                 f"verification (stored {recorded[key][:12]}..., "
                 f"computed {actual[:12]}...)"
             )
+        if key in keep:
+            decoded[key] = array
+    return decoded

@@ -51,7 +51,12 @@ from ..core.generators import GeneratorFamily
 from ..core.itemset import Item, Itemset
 from ..core.lattice import IcebergLattice
 from ..core.order import PackedOrderCore, pack_itemset_masks
-from ..core.rulearrays import RuleArrays, pack_itemsets_into, sorted_universe
+from ..core.rulearrays import (
+    RuleArrays,
+    decode_itemsets,
+    pack_itemsets_into,
+    sorted_universe,
+)
 from ..data.context import TransactionDatabase
 from ..errors import (
     InvalidParameterError,
@@ -71,6 +76,7 @@ __all__ = [
     "FORMAT_NAME",
     "FORMAT_VERSION",
     "StoredRun",
+    "basis_kinds",
     "save_run",
     "load_run",
     "read_manifest",
@@ -113,19 +119,6 @@ def _decode_items(array: np.ndarray) -> tuple[Item, ...]:
     raise StoreFormatError(f"unsupported stored item dtype {array.dtype}")
 
 
-def _decode_members(matrix: BitMatrix, universe: Sequence[Item]) -> list[Itemset]:
-    """Unpack every mask row back into an :class:`Itemset`, row order kept."""
-    rows, cols = matrix.nonzero()
-    per_row = np.bincount(rows, minlength=matrix.n_rows)
-    members: list[Itemset] = []
-    position = 0
-    for row in range(matrix.n_rows):
-        stop = position + int(per_row[row])
-        members.append(Itemset(universe[col] for col in cols[position:stop]))
-        position = stop
-    return members
-
-
 # ----------------------------------------------------------------------
 # Section encoders
 # ----------------------------------------------------------------------
@@ -151,7 +144,7 @@ def _load_family(
     universe = _decode_items(data[f"{prefix}__universe"])
     matrix = BitMatrix(data[f"{prefix}__words"], len(universe))
     counts = data[f"{prefix}__counts"]
-    members = _decode_members(matrix, universe)
+    members = decode_itemsets(matrix, universe)
     supports = dict(zip(members, (int(c) for c in counts)))
     cls = ClosedItemsetFamily if closed else ItemsetFamily
     return cls(
@@ -540,16 +533,55 @@ def load_run(
     resolve_verify_mode(verify)
     with _open_container(path) as data:
         manifest = _parse_manifest(data, path)
-        verify_container(data, manifest, path, verify)
         present = set(manifest.get("sections", []))
         wanted = present if sections is None else set(sections) & present
         if wanted & {"generators", "order"}:
             wanted.add("closed")
         wanted &= present
 
+        # "full" verification decompresses every member to hash it; the
+        # members the loaders below read are handed over instead of being
+        # decompressed a second time.
+        keep = {
+            key
+            for key in data.files
+            if key.split("__", 1)[0] in wanted
+            and not (key == "order__words" and not retain_containment)
+        }
+        decoded = verify_container(data, manifest, path, verify, keep=keep)
         run = StoredRun(path=path, manifest=manifest)
-        _load_sections(run, data, manifest, wanted, retain_containment)
+        _load_sections(
+            run, _Members(data, decoded), manifest, wanted, retain_containment
+        )
         return run
+
+
+class _Members:
+    """An opened container whose already-decoded members are read first."""
+
+    def __init__(self, data, decoded: dict[str, np.ndarray]) -> None:
+        self._data = data
+        self._decoded = decoded
+
+    def __getitem__(self, key: str) -> np.ndarray:
+        array = self._decoded.pop(key, None)
+        return self._data[key] if array is None else array
+
+
+def basis_kinds(manifest: dict) -> dict[str, str]:
+    """The registry kind of every stored basis that records one.
+
+    Read from the manifest alone, so a consumer that rebuilds the bases
+    (``update_store``) learns which ones to rebuild without decoding a
+    single rule column.
+    """
+    if "rules" not in manifest.get("sections", []):
+        return {}
+    return {
+        entry["name"]: entry["kind"]
+        for entry in manifest.get("bases", [])
+        if entry.get("kind")
+    }
 
 
 def _load_sections(
@@ -557,16 +589,17 @@ def _load_sections(
 ) -> None:
     """Populate *run* with the *wanted* sections of an opened container."""
     if "context" in wanted:
-        items = _decode_items(data["context__items"])
-        indptr = data["context__indptr"]
-        item_ids = data["context__item_ids"]
-        transactions = [
-            [items[c] for c in item_ids[indptr[i] : indptr[i + 1]]]
-            for i in range(len(indptr) - 1)
-        ]
-        run.database = TransactionDatabase(
-            transactions, item_order=items, name=run.name
-        )
+        try:
+            run.database = TransactionDatabase.from_csr(
+                data["context__indptr"],
+                data["context__item_ids"],
+                _decode_items(data["context__items"]),
+                name=run.name,
+            )
+        except InvalidParameterError as exc:
+            raise StoreIntegrityError(
+                f"{run.path}: malformed context section ({exc})"
+            ) from None
 
     families = manifest.get("families", {})
     if "frequent" in wanted:
@@ -583,7 +616,7 @@ def _load_sections(
         )
         gen_matrix = BitMatrix(data["generators__words"], len(universe))
         closure_index = data["generators__closure_index"]
-        generator_sets = _decode_members(gen_matrix, universe)
+        generator_sets = decode_itemsets(gen_matrix, universe)
         by_closure: dict[Itemset, list[Itemset]] = {}
         for index, generator in zip(closure_index, generator_sets):
             by_closure.setdefault(members[int(index)], []).append(generator)
@@ -610,6 +643,5 @@ def _load_sections(
         for entry in manifest.get("bases", []):
             basis_name = entry["name"]
             run.rule_arrays[basis_name] = _load_rules(basis_name, data)
-            if entry.get("kind"):
-                run.basis_kinds[basis_name] = entry["kind"]
             run.basis_metadata[basis_name] = dict(entry.get("metadata", {}))
+        run.basis_kinds.update(basis_kinds(manifest))

@@ -26,9 +26,17 @@ from repro.algorithms.rule_generation import (
     generate_exact_rules,
 )
 from repro.bases import build_bases
+from repro.core.derivation import _luxenburger_supports
 from repro.core.itemset import Itemset
+from repro.core.rulearrays import RuleArrays
+from repro.core.rules import AssociationRule
 from repro.errors import DerivationError, InvalidParameterError
 from repro.experiments.harness import mine_itemsets
+
+from derivation_oracles import (
+    luxenburger_supports_reference,
+    recover_closed_supports_reference,
+)
 
 
 def build_derivation(db, minsup, minconf=0.0):
@@ -188,3 +196,65 @@ class TestTheorems:
         everything = built["all"].rule_arrays
         derived = derived.project_to(everything.universe)
         assert_same_rows(derived.sorted_canonically(), everything.sorted_canonically())
+
+
+class TestColumnarSupportRecovery:
+    """The column-native support recovery equals the per-rule object loop."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        database=small_contexts(),
+        minsup=st.sampled_from((0.15, 0.3, 0.5)),
+        minconf=st.sampled_from((0.0, 0.4, 0.7)),
+        reduced=st.booleans(),
+    )
+    def test_equals_object_oracle(self, database, minsup, minconf, reduced):
+        frequent = Apriori(minsup).mine(database)
+        closed = Close(minsup).mine(database)
+        lux = LuxenburgerBasis(closed, minconf=minconf, transitive_reduction=reduced)
+        derivation = BasisDerivation(
+            build_duquenne_guigues_basis(frequent, closed),
+            lux,
+            n_objects=database.n_objects,
+        )
+        expected = recover_closed_supports_reference(derivation)
+        assert list(derivation._closed_supports.items()) == list(expected.items())
+        assert all(type(count) is int for count in expected.values())
+        assert all(type(count) is int for count in derivation._closed_supports.values())
+        assert not lux.rules.is_materialized()
+
+    def test_unknown_counts_and_repeated_itemsets(self):
+        """``-1`` counts, a head written twice, an antecedent seen first."""
+        rules = [
+            AssociationRule("abc", "d", support=0.1, confidence=0.5, support_count=1),
+            AssociationRule("a", "b", support=0.5, confidence=0.8),
+            AssociationRule("ab", "c", support=0.3, confidence=0.6, support_count=3),
+            AssociationRule("", "ab", support=0.4, confidence=0.4, support_count=4),
+            AssociationRule("c", "ab", support=0.3, confidence=0.75, support_count=2),
+            AssociationRule("b", "a", support=0.5, confidence=0.625),
+        ]
+        arrays = RuleArrays.from_rules(rules)
+        for n_objects in (10, 7):
+            got = _luxenburger_supports(arrays, n_objects)
+            expected = luxenburger_supports_reference(rules, n_objects)
+            assert list(got.items()) == list(expected.items())
+
+    def test_empty_basis(self):
+        assert _luxenburger_supports(RuleArrays.empty(("a", "b")), 5) == {}
+
+    def test_wide_universe(self):
+        """Masks spanning several packed words decode the same itemsets."""
+        items = [f"i{k:03d}" for k in range(150)]
+        rules = [
+            AssociationRule(
+                items[:70], items[70:140], support=0.2, confidence=0.5, support_count=2
+            ),
+            AssociationRule(
+                items[:3], items[3:70], support=0.4, confidence=0.8, support_count=4
+            ),
+        ]
+        arrays = RuleArrays.from_rules(rules)
+        got = _luxenburger_supports(arrays, 10)
+        assert list(got.items()) == list(
+            luxenburger_supports_reference(rules, 10).items()
+        )

@@ -387,6 +387,98 @@ class TestUpdateStore:
         for name, built in fresh_artifacts.bases.items():
             assert len(reloaded.rule_arrays[name]) == len(built.rules)
 
+    def test_lean_update_writes_the_digests_of_a_full_load(
+        self, tmp_path, monkeypatch
+    ):
+        """``update_store`` == load everything, repair, rebuild, save.
+
+        The reference is the stepwise sequence of the benchmark's append
+        worker: a full ``load_run``, the mining result rehydrated from it,
+        ``update_mining`` on the stored lattice, every stored basis rebuilt
+        and the container rewritten — three appends in a row, with every
+        registered basis stored (incremental repairs, no re-mine).
+        """
+        import shutil
+
+        from repro.algorithms.base import MiningRun
+        from repro.bases import BasisContext, build_bases
+        from repro.bases.registry import registered_names
+        from repro.experiments.harness import ItemsetMiningResult, RuleArtifacts
+        from repro.store import load_run, read_manifest
+
+        def stepwise_update(path, rows):
+            stored = load_run(path)
+            database = stored.require("context")
+            generators = stored.require("generators")
+            frequent, closed = stored.require("frequent"), stored.require("closed")
+            mining = ItemsetMiningResult(
+                database=database,
+                minsup=stored.minsup,
+                apriori_run=MiningRun(
+                    "Apriori[store]", database.name, stored.minsup, frequent
+                ),
+                close_run=MiningRun("Close[store]", database.name, stored.minsup, closed),
+                generators_by_closure={
+                    closure: list(generators.generators_of(closure))
+                    for closure in generators.closed_itemsets()
+                },
+            )
+            result = update_mining(
+                mining, rows, damage_threshold=1.0, lattice=stored.lattice
+            )
+            context = BasisContext(
+                closed=result.mining.closed,
+                minconf=stored.minconf,
+                frequent=result.mining.frequent,
+                generators_factory=lambda: result.mining.generator_family,
+                _lattice=result.lattice,
+            )
+            artifacts = RuleArtifacts(
+                database_name=result.mining.database.name,
+                minsup=result.mining.minsup,
+                minconf=stored.minconf,
+                bases=build_bases(context, list(stored.basis_kinds) or None),
+                context=context,
+            )
+            save_artifacts(path, result.mining, artifacts, include_context=True)
+
+        db = make_random_db(3, n_objects=40)
+        mining = mine_itemsets(db, 0.15)
+        lean = save_artifacts(
+            tmp_path / "lean.npz",
+            mining,
+            build_rule_artifacts(mining, 0.5, registered_names()),
+        )
+        full = tmp_path / "full.npz"
+        shutil.copy(lean, full)
+        reads = []
+        original = np.lib.npyio.NpzFile.__getitem__
+        for step in range(3):
+            batch = [sorted(row) for row in random_batch(step, 4)]
+            monkeypatch.setattr(
+                np.lib.npyio.NpzFile,
+                "__getitem__",
+                lambda self, key: reads.append(key) or original(self, key),
+            )
+            _, result = update_store(lean, batch, damage_threshold=1.0)
+            monkeypatch.undo()
+            assert result.statistics.mode == "incremental"
+            assert result.mining.database._row_itemsets is None
+            stepwise_update(full, batch)
+            assert read_manifest(lean)["integrity"] == read_manifest(full)["integrity"]
+        assert len(read_manifest(lean)["bases"]) == len(registered_names())
+        assert reads and not [key for key in reads if key.startswith("rules__")]
+
+    def test_append_decodes_no_row_of_a_loaded_context(self, tmp_path):
+        from repro.incremental.store import _mining_from_store
+        from repro.store import load_run
+
+        mining = _mining_from_store(load_run(build_store(tmp_path / "run.npz")))
+        result = update_mining(mining, [["a", "b", "c", "e"]], damage_threshold=1.0)
+        assert result.statistics.mode == "incremental"
+        assert mining.database._row_itemsets is None
+        assert result.mining.database._row_itemsets is None
+
     def test_update_is_repeatable(self, tmp_path):
         path = build_store(tmp_path / "run.npz")
         for step in range(3):

@@ -24,6 +24,7 @@ from __future__ import annotations
 import io
 import json
 import zipfile
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -41,6 +42,7 @@ from repro.experiments.harness import (
 )
 from repro.ioutils import atomic_write
 from repro.serve import ServeApp
+from repro.serve.app import SERVED_SECTIONS
 from repro.store import load_run, read_manifest
 from repro.testing import FaultInjector
 
@@ -399,3 +401,111 @@ class TestFaultSpecParsing:
         assert victim.stat().st_size == 50
         injector.fire("store.load", path=victim)
         assert victim.stat().st_size == 50  # second fire is a no-op
+
+
+def count_member_reads(monkeypatch) -> Counter:
+    """Count every decompression of a container member, by key."""
+    reads: Counter = Counter()
+    original = np.lib.npyio.NpzFile.__getitem__
+
+    def counting(self, key):
+        reads[key] += 1
+        return original(self, key)
+
+    monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", counting)
+    return reads
+
+
+def with_recorded_digest(source, dest, key: str, digest: str = "0" * 64):
+    """Copy *source* to *dest* with *digest* recorded for array *key*."""
+
+    def mutate(name, payload):
+        if name != "manifest.npy":
+            return payload
+        header_end = payload.index(b"\n") + 1
+        manifest = json.loads(bytes(payload[header_end:]))
+        manifest["integrity"]["arrays"][key] = digest
+        body = json.dumps(manifest, sort_keys=True).encode("utf-8")
+        buffer = io.BytesIO()
+        np.save(buffer, np.frombuffer(body, dtype=np.uint8))
+        return buffer.getvalue()
+
+    rezip(source, dest, mutate)
+
+
+class TestOneDecodePerMember:
+    """``verify="full"`` hands its decoded arrays to the section loaders."""
+
+    def test_full_verify_reads_every_member_once(self, store_path, monkeypatch):
+        expected = {key: 1 for key in listed_arrays(store_path)}
+        expected["manifest"] = 1
+        reads = count_member_reads(monkeypatch)
+        run = load_run(store_path, verify="full")
+        assert dict(reads) == expected
+        assert run.database is not None and run.lattice is not None
+
+    def test_full_verify_of_a_lean_load_still_reads_every_member_once(
+        self, store_path, monkeypatch
+    ):
+        expected = {key: 1 for key in listed_arrays(store_path)}
+        expected["manifest"] = 1
+        reads = count_member_reads(monkeypatch)
+        load_run(
+            store_path,
+            sections=SERVED_SECTIONS,
+            retain_containment=False,
+            verify="full",
+        )
+        assert dict(reads) == expected
+
+    def test_lean_load_decodes_only_its_sections(self, store_path, monkeypatch):
+        reads = count_member_reads(monkeypatch)
+        run = load_run(
+            store_path,
+            sections=SERVED_SECTIONS,
+            retain_containment=False,
+            verify="manifest",
+        )
+        assert run.database is None and run.generators is None
+        assert set(reads.values()) == {1}
+        assert not {key for key in reads if key.startswith("context__")}
+        assert not {key for key in reads if key.startswith("generators__")}
+        assert "order__words" not in reads
+        assert {key for key in reads if key.startswith("rules__")}
+
+
+class TestLeanReloadStillVerifiesTheContext:
+    """The daemon never decodes the context, but ``full`` still checks it."""
+
+    def test_tampered_context_digest_is_refused(self, store_path, tmp_path):
+        app = ServeApp(store_path, watch=False)
+        assert app.loaded.derivation is not None
+        tampered = tmp_path / "tampered.npz"
+        with_recorded_digest(store_path, tampered, "context__item_ids")
+        store_path.write_bytes(tampered.read_bytes())
+        app.request_reload()
+        status, health = app.handle("GET", "/healthz")
+        assert status == 200 and health["generation"] == 1
+        status, metrics = app.handle("GET", "/metrics")
+        assert metrics["integrity_failures"] == 1
+        assert metrics["reloads"] == 0
+        assert "context__item_ids" in metrics["last_reload_error"]
+
+    def test_flipped_context_payload_is_refused(self, store_path, tmp_path):
+        app = ServeApp(store_path, watch=False)
+        flipped = tmp_path / "flipped.npz"
+
+        def mutate(name, payload):
+            if name != "context__item_ids.npy":
+                return payload
+            mutated = bytearray(payload)
+            mutated[-1] ^= 0x01
+            return bytes(mutated)
+
+        rezip(store_path, flipped, mutate)
+        store_path.write_bytes(flipped.read_bytes())
+        app.request_reload()
+        status, metrics = app.handle("GET", "/metrics")
+        assert metrics["integrity_failures"] == 1
+        assert metrics["generation"] == 1
+        assert "context__item_ids" in metrics["last_reload_error"]

@@ -805,3 +805,86 @@ class TestReload:
             thread.join(timeout=60)
         assert not failures
         assert app.handle("GET", "/healthz")[1]["generation"] >= 2
+
+
+class TestLeanReload:
+    """A (re)load decodes only what the snapshot serves."""
+
+    def test_no_context_is_built_and_no_luxenburger_rule_materialised(
+        self, tmp_path, monkeypatch
+    ):
+        path = build_store(tmp_path / "run.npz", minconf=0.7)
+        replacement = build_store(tmp_path / "next.npz", minconf=0.5)
+        built = []
+
+        def counting_init(self, *args, **kwargs):
+            built.append("__init__")
+
+        def counting_from_matrix(cls, *args, **kwargs):
+            built.append("_from_matrix")
+
+        monkeypatch.setattr(TransactionDatabase, "__init__", counting_init)
+        monkeypatch.setattr(
+            TransactionDatabase, "_from_matrix", classmethod(counting_from_matrix)
+        )
+        app = ServeApp(path, watch=False)
+        os.replace(replacement, path)
+        app.request_reload()
+        status, health = app.handle("GET", "/healthz")
+        assert status == 200 and health["generation"] == 2
+        assert built == []
+
+        body = b'{"antecedent": ["c"], "consequent": ["b", "e"]}'
+        status, answer = app.handle("POST", "/derive", body=body)
+        assert status == 200 and answer["derivable"]
+        derivation = app.loaded.derivation
+        assert not derivation._lux.rules.is_materialized()
+
+    def test_served_answers_match_a_full_load(self, store_path):
+        """The lean snapshot answers exactly as one built from every section."""
+        from repro.store import load_run
+
+        full = load_run(store_path, retain_containment=False)
+        app = ServeApp(store_path, watch=False)
+        loaded = app.loaded
+        assert loaded.n_objects == full.database.n_objects
+        assert set(loaded.bases) == set(full.rule_arrays)
+        for name, arrays in full.rule_arrays.items():
+            served = loaded.bases[name].arrays
+            expected = arrays.sorted_canonically()
+            assert served.antecedents.equals(expected.antecedents)
+            assert served.consequents.equals(expected.consequents)
+        oracle = BasisDerivation(
+            build_duquenne_guigues_basis(full.frequent, full.closed),
+            LuxenburgerBasis(full.closed, minconf=0.0, lattice=full.lattice),
+            n_objects=full.database.n_objects,
+        )
+        assert loaded.derivation._closed_supports == oracle._closed_supports
+
+
+class TestReloadTiming:
+    def test_successful_reloads_are_timed(self, tmp_path):
+        path = build_store(tmp_path / "run.npz", minconf=0.7)
+        app = ServeApp(path, watch=False)
+        _, metrics = app.handle("GET", "/metrics")
+        assert metrics["last_reload_seconds"] is None
+        assert metrics["reload_seconds_total"] == 0.0
+
+        times = []
+        for _ in range(2):
+            app.request_reload()
+            _, metrics = app.handle("GET", "/metrics")
+            assert metrics["last_reload_seconds"] > 0.0
+            times.append(metrics["last_reload_seconds"])
+        assert metrics["reloads"] == 2
+        assert metrics["reload_seconds_total"] == pytest.approx(sum(times))
+
+    def test_failed_reloads_are_not_timed(self, tmp_path):
+        path = build_store(tmp_path / "run.npz", minconf=0.7)
+        app = ServeApp(path, watch=False)
+        path.write_bytes(b"not a store")
+        app.request_reload()
+        _, metrics = app.handle("GET", "/metrics")
+        assert metrics["reload_failures"] == 1
+        assert metrics["last_reload_seconds"] is None
+        assert metrics["reload_seconds_total"] == 0.0
