@@ -7,9 +7,13 @@ the daemon default) and answers a ``/derive`` query.  Both halves decode
 only the store sections they use, straight from the columns: the daemon
 never builds the transaction context and never materialises a
 Luxenburger rule object, and ``update_store`` never decodes the rule
-sections it rebuilds.  The benchmark is self-gating: it pins those
-structural facts, checks the closed family after the appends against a
-fresh ``Close`` run over the same rows, and bounds the wall time.
+sections it rebuilds.  The newcomer sweep of each append joins inside
+the appended rows only: the old engine is asked about no itemset that
+no appended row contains, and the candidates tested stay within the
+rows' subsets up to one level past the largest frequent itemset.  The
+benchmark is self-gating: it pins those structural facts, checks the
+closed family after the appends against a fresh ``Close`` run over the
+same rows, and bounds the wall time.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ from __future__ import annotations
 import json
 import statistics
 import time
+from math import comb
 
 import numpy as np
 from conftest import run_once, save_table
@@ -25,6 +30,7 @@ from repro.algorithms.close import Close
 from repro.bases.registry import registered_names
 from repro.data.context import TransactionDatabase
 from repro.data.synthetic import QuestGenerator
+from repro.engine.base import ClosureEngine
 from repro.experiments.harness import (
     build_rule_artifacts,
     mine_itemsets,
@@ -73,16 +79,35 @@ def _run(tmp_path, monkeypatch) -> dict:
             rule_reads.append(key)
         return original_getitem(self, key)
 
-    append_s, reload_s = [], []
+    asked = []
+    original_supports = ClosureEngine.supports
+
+    def counting_supports(self, itemsets):
+        itemsets = list(itemsets)
+        asked.extend(itemsets)
+        return original_supports(self, itemsets)
+
+    append_s, reload_s, candidates = [], [], []
     started = time.perf_counter()
     for step in range(APPENDS):
         batch = held_out[step * BATCH_ROWS : (step + 1) * BATCH_ROWS]
         monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", counting_getitem)
+        monkeypatch.setattr(ClosureEngine, "supports", counting_supports)
+        asked.clear()
         tick = time.perf_counter()
-        update_store(path, batch)
+        _, result = update_store(path, batch)
         append_s.append(time.perf_counter() - tick)
         monkeypatch.undo()
         assert rule_reads == [], "update_store decoded rule sections"
+        assert all(
+            any(itemset.issubset(row) for row in batch) for itemset in asked
+        ), "the newcomer sweep asked about an itemset no appended row contains"
+        levels = result.mining.apriori_run.statistics.levels + 1
+        row_subsets = sum(
+            comb(len(row), k) for row in batch for k in range(1, levels + 1)
+        )
+        candidates.append(result.statistics.candidates)
+        assert 0 < candidates[-1] <= row_subsets
 
         monkeypatch.setattr(
             TransactionDatabase, "_from_matrix", classmethod(counting_from_matrix)
@@ -107,6 +132,7 @@ def _run(tmp_path, monkeypatch) -> dict:
         "rows": N_ROWS + APPENDS * BATCH_ROWS,
         "closed": len(fresh),
         "update_store_median_s": round(statistics.median(append_s), 3),
+        "newcomer_candidates_max": max(candidates),
         "reload_median_s": round(statistics.median(reload_s), 3),
         "reload_seconds_total": round(metrics["reload_seconds_total"], 3),
         "wall_seconds": round(wall_seconds, 3),

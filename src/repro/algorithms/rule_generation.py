@@ -39,7 +39,7 @@ from itertools import chain, combinations
 
 import numpy as np
 
-from ..core.bitmatrix import BitMatrix, _words_for
+from ..core.bitmatrix import BitMatrix, _words_for, row_keys
 from ..core.constants import EPSILON
 from ..core.families import ItemsetFamily
 from ..core.parallel import get_executor
@@ -125,14 +125,6 @@ def _half_submasks(
     return _select_masks(positions[rows], values.astype(np.uint64), n_words), offsets
 
 
-def _lookup_keys(masks: np.ndarray) -> np.ndarray:
-    """Sortable, comparable keys of packed mask rows (the void-key idiom)."""
-    if masks.shape[1] == 1:
-        return masks[:, 0]
-    flat = np.ascontiguousarray(masks)
-    return flat.view(np.dtype((np.void, flat.shape[1] * 8))).reshape(-1)
-
-
 def _emit_rule_arrays(
     frequent: ItemsetFamily,
     minconf: float,
@@ -174,7 +166,7 @@ def _emit_rule_arrays(
     positions = np.array([bits + [-1] * (max_size - len(bits)) for bits in members])
     member_counts = np.asarray(counts, dtype=np.int64)
     member_masks = _select_masks(positions, np.full(len(members), ~np.uint64(0)), n_words)
-    member_keys = _lookup_keys(member_masks)
+    member_keys = row_keys(member_masks)
     order = np.argsort(member_keys, kind="stable")
     sorted_keys = member_keys[order]
     sorted_counts = member_counts[order]
@@ -219,7 +211,7 @@ def _emit_rule_arrays(
             low_table[low_offset[owner] + low.astype(np.int64)]
             | high_table[high_offset[owner] + (selectors >> low_bits).astype(np.int64)]
         )
-        keys = _lookup_keys(antecedents)
+        keys = row_keys(antecedents)
         slot = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
         antecedent_counts = np.where(sorted_keys[slot] == keys, sorted_counts[slot], 0)
         keep = antecedent_counts > 0

@@ -40,6 +40,7 @@ __all__ = [
     "BitMatrix",
     "packed_containment",
     "packed_hasse_reduction",
+    "row_keys",
 ]
 
 #: Bits per packed word.
@@ -86,6 +87,22 @@ def _packed_nonzero(words: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows = nz_rows[word_index].astype(np.int64, copy=False)
     cols = nz_words[word_index].astype(np.int64) * WORD_BITS + bit_index
     return rows, cols
+
+
+def row_keys(words: np.ndarray) -> np.ndarray:
+    """One sortable key per packed row; equal keys mean equal rows.
+
+    The keys work with ``np.sort``, ``np.unique`` and ``np.searchsorted``.
+    A one-word row is its own uint64 key, a wider row one void scalar
+    (the void-key idiom), and a zero-width row (an empty universe) the
+    key ``0``.
+    """
+    if words.shape[1] == 1:
+        return words[:, 0]
+    if words.shape[1] == 0:
+        return np.zeros(len(words), dtype=np.int64)
+    flat = np.ascontiguousarray(words)
+    return flat.view(np.dtype((np.void, flat.shape[1] * 8))).reshape(-1)
 
 
 def _pack_rows(dense: np.ndarray) -> np.ndarray:

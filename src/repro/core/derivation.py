@@ -25,7 +25,7 @@ from collections.abc import Iterable
 import numpy as np
 
 from ..errors import DerivationError, InvalidParameterError
-from .bitmatrix import BitMatrix
+from .bitmatrix import BitMatrix, row_keys
 from .constants import EPSILON
 from .dg_basis import DuquenneGuiguesBasis
 from .families import ItemsetFamily
@@ -314,11 +314,7 @@ def _luxenburger_supports(arrays: RuleArrays, n_objects: int) -> dict[Itemset, i
     values = np.empty(2 * n, dtype=np.int64)
     values[0::2] = head_counts
     values[1::2] = antecedent_counts
-    if keys.shape[1]:
-        flat = keys.view(np.dtype((np.void, keys.shape[1] * 8))).reshape(-1)
-        _, first, inverse = np.unique(flat, return_index=True, return_inverse=True)
-    else:  # empty universe: every key is the empty itemset
-        first, inverse = np.zeros(1, dtype=np.intp), np.zeros(2 * n, dtype=np.intp)
+    _, first, inverse = np.unique(row_keys(keys), return_index=True, return_inverse=True)
 
     final = values[first]
     head_groups, last_reversed = np.unique(inverse[0::2][::-1], return_index=True)

@@ -38,7 +38,7 @@ from collections.abc import Iterable, Iterator, Sequence
 import numpy as np
 
 from ..errors import InvalidParameterError
-from .bitmatrix import _BLOCK_CELLS, BitMatrix, _pack_rows, _words_for
+from .bitmatrix import _BLOCK_CELLS, BitMatrix, _pack_rows, _words_for, row_keys
 from .constants import EPSILON
 from .itemset import Item, Itemset, _sort_key
 
@@ -517,14 +517,9 @@ class RuleArrays:
         implication, which makes the view directly usable with
         ``np.unique`` / ``np.isin`` for the set operations.
         """
-        combined = np.concatenate(
-            [self.antecedents.words, self.consequents.words], axis=1
+        return row_keys(
+            np.concatenate([self.antecedents.words, self.consequents.words], axis=1)
         )
-        if combined.shape[1] == 0:
-            # Empty universe: every row is the (degenerate) same key.
-            return np.zeros(len(self), dtype=np.int64)
-        flat = np.ascontiguousarray(combined)
-        return flat.view(np.dtype((np.void, flat.shape[1] * 8))).reshape(-1)
 
     def deduplicated(self) -> "RuleArrays":
         """Drop duplicate keys, first occurrence wins, order preserved.

@@ -11,20 +11,20 @@ steps:
 3. **cover deduplication** — distinct cover rows are identified with a
    byte-key dict; on the correlated contexts of the paper a
    10 000-candidate level collapses onto a few thousand distinct covers,
-   so the expensive closure step only runs on the unique rows;
-4. **closures** — item ``i`` belongs to ``h(X)`` iff no covering object
-   misses it, which for the unique unpacked cover matrix ``U`` is a single
-   matrix product: ``H = (U · ¬M) == 0`` (unique covers × items).  Each
-   distinct closure row is decoded into an :class:`Itemset` exactly once
-   and fanned back out through the inverse index.
+   so the closure step only runs on the unique rows;
+4. **closures** — item ``i`` belongs to ``h(X)`` iff its cover contains
+   ``g(X)``.  Such an item is held by every covering object, the first
+   one included, so only the items of each cover's first object are
+   tested, each by one packed subset check of the cover words against
+   the item's cover words.  Each distinct closure row is decoded into an
+   :class:`Itemset` exactly once and fanned back out through the inverse
+   index.
 
-A candidate with an empty cover has an all-zero cover row, so its ``H``
-row is all ones — the full item universe, exactly the FCA convention of
-:meth:`TransactionDatabase.closure`.  float32 accumulators are exact for
-the integer counts involved (bounded by ``|O|``, far below the 2²⁴
-float32 integer range).  Batches of a handful of candidates skip the
-dedup machinery and decode directly, keeping the single-itemset wrappers
-as cheap as the pre-engine code path.
+A candidate with an empty cover closes to the full item universe,
+exactly the FCA convention of :meth:`TransactionDatabase.closure`.
+Batches of a handful of candidates skip the dedup machinery and decode
+directly, keeping the single-itemset wrappers as cheap as the
+pre-engine code path.
 """
 
 from __future__ import annotations
@@ -46,6 +46,10 @@ __all__ = ["NumpyClosureEngine"]
 #: Cap on the number of uint64 words materialised by one gather chunk.
 _CHUNK_WORDS = 1 << 24
 
+#: Cap on the uint64 words of one closure-check chunk; the check holds a
+#: few temporaries of this size (8 MB each).
+_CHECK_WORDS = 1 << 20
+
 #: Batches up to this size bypass cover dedup and decode row by row.
 _SMALL_BATCH = 4
 
@@ -53,8 +57,8 @@ _SMALL_BATCH = 4
 class NumpyClosureEngine(ClosureEngine):
     """Vectorised dense engine (the default for the level-wise miners).
 
-    ``workers`` shards the batched cover gather and the closure matmul
-    over candidate rows through the kernel executor of
+    ``workers`` shards the batched cover gather and the closure subset
+    checks over candidate rows through the kernel executor of
     :mod:`repro.core.parallel` (``None`` = the ``REPRO_NUM_WORKERS``
     environment variable, else serial).  Row shards write disjoint
     output slices and each row's reduction is independent, so results
@@ -73,9 +77,6 @@ class NumpyClosureEngine(ClosureEngine):
         self._workers = workers
         matrix = database.matrix
         self._matrix = matrix
-        # The float32 ¬M operand of the closure matmul is built lazily: a
-        # support-only workload (Apriori counting) never pays for it.
-        self._not_m_cache: np.ndarray | None = None
         n_objects, n_items = matrix.shape
         self._n_objects = n_objects
         # Per-item covers packed into uint64 words, one row per item.
@@ -92,12 +93,6 @@ class NumpyClosureEngine(ClosureEngine):
         self._full_words = np.packbits(full, bitorder="little").view(np.uint64)
         self._n_words = n_words
 
-    @property
-    def _not_m(self) -> np.ndarray:
-        if self._not_m_cache is None:
-            self._not_m_cache = (~self._matrix).astype(np.float32)
-        return self._not_m_cache
-
     def extended(self, database: "TransactionDatabase") -> "NumpyClosureEngine":
         """Warm-start an engine for *database*, an appended extension.
 
@@ -112,7 +107,6 @@ class NumpyClosureEngine(ClosureEngine):
         clone._workers = self._workers
         matrix = database.matrix
         clone._matrix = matrix
-        clone._not_m_cache = None
         n_objects, n_items = matrix.shape
         n_old = self._n_objects
         if n_objects < n_old:
@@ -240,27 +234,47 @@ class NumpyClosureEngine(ClosureEngine):
                 seen[key] = position
                 unique_rows.append(r)
             inverse[r] = position
-        unique_f = self._unpack_covers(cover_words[unique_rows]).astype(np.float32)
-        # One matrix product closes every distinct cover of the batch; an
-        # all-zero cover row yields an all-ones closure row = the universe.
-        # Each output row is an independent dot-product reduction, so
-        # sharding over candidate rows is byte-identical to one product.
-        executor = get_executor(self._workers)
-        not_m = self._not_m
-        closed = np.empty((unique_f.shape[0], not_m.shape[1]), dtype=bool)
-
-        def close_rows(span: tuple[int, int]) -> None:
-            start, stop = span
-            closed[start:stop] = (unique_f[start:stop] @ not_m) == 0.0
-
-        executor.map(
-            close_rows,
-            shard_spans(unique_f.shape[0], executor.shard_size(unique_f.shape[0])),
-        )
+        closed = self._close_covers(cover_words[unique_rows])
         distinct = [self._decode_items(row) for row in closed]
         return [
             (distinct[inverse[r]], int(supports[r])) for r in range(len(itemsets))
         ]
+
+    def _close_covers(self, covers: np.ndarray) -> np.ndarray:
+        """The closure rows (covers × items) of packed cover rows.
+
+        An item is in the closure iff its cover words contain the cover;
+        only the items of the cover's first object can be, so those
+        (cover, item) pairs alone are tested, in bounded chunks.  An
+        empty cover closes to every item.
+        """
+        n_items = self._matrix.shape[1]
+        closed = np.ones((len(covers), n_items), dtype=bool)
+        held = np.flatnonzero(covers.any(axis=1))
+        word = (covers[held] != 0).argmax(axis=1)
+        lowest = covers[held, word]
+        lowest &= ~lowest + np.uint64(1)
+        first = word * 64 + np.bitwise_count(lowest - np.uint64(1)).astype(np.int64)
+        pair_cover, pair_item = np.nonzero(self._matrix[first])
+        pair_cover = held[pair_cover]
+        contains = np.empty(len(pair_cover), dtype=bool)
+
+        def check(span: tuple[int, int]) -> None:
+            start, stop = span
+            contains[start:stop] = ~np.any(
+                covers[pair_cover[start:stop]]
+                & ~self._item_words[pair_item[start:stop]],
+                axis=1,
+            )
+
+        executor = get_executor(self._workers)
+        chunk = max(1, _CHECK_WORDS // self._n_words)
+        if not executor.is_serial and len(pair_cover) > chunk:
+            chunk = max(1, min(chunk, executor.shard_size(len(pair_cover))))
+        executor.map(check, shard_spans(len(pair_cover), chunk))
+        closed[held] = False
+        closed[pair_cover[contains], pair_item[contains]] = True
+        return closed
 
     def _supports_batch(self, itemsets: Sequence[Itemset]) -> list[int]:
         if not itemsets:

@@ -690,7 +690,8 @@ def _command_update(args: argparse.Namespace) -> int:
         print(
             f"  damaged {stats.damaged_closed}/{stats.old_closed} closed "
             f"itemsets (ratio {stats.damage_ratio:.2f}), "
-            f"{stats.reclosed} closures recomputed"
+            f"{stats.reclosed} closures recomputed, "
+            f"{stats.candidates} newcomer candidates tested"
         )
     elif stats.fallback_reason:
         print(f"  full re-mine: {stats.fallback_reason}")

@@ -21,8 +21,10 @@ repair therefore only re-evaluates the damaged part of each artifact:
   del`` without touching the engines;
 * **new frequent itemsets** — any itemset newly reaching the threshold
   must occur in an appended row (its support could not have risen
-  otherwise), so candidate discovery runs level-wise from the appended
-  rows only, seeded by the add-damaged survivors;
+  otherwise), so candidate discovery runs level-wise *inside* each
+  appended row, joining only the add-damaged survivors and newcomers the
+  row contains; the old engine counts base supports for those in-row
+  candidates alone, in one batch per level;
 * **closed itemsets** — undamaged closed members survive verbatim;
   the closures of the damaged frequent itemsets are recomputed in one
   batch on the extended context's (warm-started) engine — exactly the
@@ -47,16 +49,16 @@ from __future__ import annotations
 
 import time
 from collections.abc import Iterable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ..algorithms.apriori import apriori_candidates
 from ..algorithms.base import MiningRun, MiningStatistics
+from ..core.bitmatrix import BitMatrix, row_keys
 from ..core.families import ClosedItemsetFamily, ItemsetFamily
 from ..core.itemset import Item, Itemset
 from ..core.lattice import IcebergLattice
-from ..core.rulearrays import pack_itemset_words, pack_itemsets_into, sorted_universe
+from ..core.rulearrays import itemsets_from_cells, pack_itemsets_into, sorted_universe
 from ..data.context import TransactionDatabase
 from ..errors import InvalidParameterError, OracleMismatchError
 from ..experiments.harness import ItemsetMiningResult, mine_itemsets
@@ -89,6 +91,9 @@ class UpdateStatistics:
     #: Frequent itemsets that entered / left the family.
     new_frequent: int
     dropped_frequent: int
+    #: Newcomer candidates the sweep tested (each lies inside an
+    #: appended row and is no old frequent itemset).
+    candidates: int
     wall_clock_seconds: float = 0.0
 
     def as_dict(self) -> dict:
@@ -104,6 +109,7 @@ class UpdateStatistics:
             "reclosed": self.reclosed,
             "new_frequent": self.new_frequent,
             "dropped_frequent": self.dropped_frequent,
+            "candidates": self.candidates,
             "wall_clock_seconds": self.wall_clock_seconds,
         }
 
@@ -121,24 +127,6 @@ class IncrementalUpdateResult:
     #: and the incremental path ran; ``None`` otherwise (consumers then
     #: rebuild it lazily through :class:`repro.bases.BasisContext`).
     lattice: IcebergLattice | None = None
-
-
-def _fresh_statistics(
-    stats: "UpdateStatistics", started: float
-) -> UpdateStatistics:
-    return UpdateStatistics(
-        mode=stats.mode,
-        fallback_reason=stats.fallback_reason,
-        n_appended=stats.n_appended,
-        n_removed=stats.n_removed,
-        old_closed=stats.old_closed,
-        damaged_closed=stats.damaged_closed,
-        damage_ratio=stats.damage_ratio,
-        reclosed=stats.reclosed,
-        new_frequent=stats.new_frequent,
-        dropped_frequent=stats.dropped_frequent,
-        wall_clock_seconds=time.perf_counter() - started,
-    )
 
 
 def update_mining(
@@ -243,9 +231,13 @@ def update_mining(
             reclosed=0,
             new_frequent=0,
             dropped_frequent=0,
+            candidates=0,
         )
         return IncrementalUpdateResult(
-            mining=fresh, statistics=_fresh_statistics(stats, started)
+            mining=fresh,
+            statistics=replace(
+                stats, wall_clock_seconds=time.perf_counter() - started
+            ),
         )
 
     if new_db.n_objects < old_db.n_objects:
@@ -269,21 +261,15 @@ def update_mining(
     # Delta counts of the old frequent members (one packed containment
     # pass per changed row, vectorised over members).
     # ------------------------------------------------------------------
-    add_counts = np.zeros(len(members), dtype=np.int64)
-    del_counts = np.zeros(len(members), dtype=np.int64)
-    changed = added + removed
-    if members and changed:
-        universe = sorted_universe(
-            item for group in (members, changed) for itemset in group
-            for item in itemset
-        )
-        packed = pack_itemsets_into(members, universe)
-        words = packed.words
-        position = {item: i for i, item in enumerate(universe)}
-        for counts, rows in ((add_counts, added), (del_counts, removed)):
-            for row in rows:
-                row_words = pack_itemset_words(row, position, packed.n_words)
-                counts += ~np.any(words & ~row_words, axis=1)
+    universe = sorted_universe(
+        item for group in (members, added, removed) for itemset in group
+        for item in itemset
+    )
+    packed_members = pack_itemsets_into(members, universe)
+    added_rows = pack_itemsets_into(added, universe)
+    removed_words = pack_itemsets_into(removed, universe).words
+    add_counts = _containment_counts(packed_members.words, added_rows.words)
+    del_counts = _containment_counts(packed_members.words, removed_words)
     damaged_flags = (add_counts > 0) | (del_counts > 0)
 
     damaged_closed = sum(
@@ -300,74 +286,34 @@ def update_mining(
 
     # ------------------------------------------------------------------
     # Frequent family: survivors by delta arithmetic, newcomers by a
-    # level-wise scan seeded from the appended rows.
+    # level-wise sweep inside the appended rows.
     # ------------------------------------------------------------------
-    new_supports: dict[Itemset, int] = {}
-    dropped_frequent = 0
-    for i, member in enumerate(members):
-        support = old_supports[member] + int(add_counts[i]) - int(del_counts[i])
-        if support >= thresh_new:
-            new_supports[member] = support
-        else:
-            dropped_frequent += 1
-
-    old_item_set = set(old_db.items)
-
-    def admit(candidates: list[Itemset]) -> list[Itemset]:
-        """Keep the candidates that are frequent in the extended context.
-
-        A newcomer's support is its (old-engine-counted) base support
-        plus the appended-cover count minus the removed-cover count; a
-        candidate absent from every appended row cannot have gained
-        support and is pruned outright.
-        """
-        in_old = [
-            c for c in candidates if all(item in old_item_set for item in c)
-        ]
-        base = dict(zip(in_old, old_engine.supports(in_old))) if in_old else {}
-        kept: list[Itemset] = []
-        for candidate in candidates:
-            adds = sum(1 for row in added if candidate.issubset(row))
-            if adds == 0:
-                continue
-            dels = sum(1 for row in removed if candidate.issubset(row))
-            support = base.get(candidate, 0) + adds - dels
-            if support >= thresh_new:
-                new_supports[candidate] = support
-                kept.append(candidate)
-        return kept
-
-    old_add_damaged_by_size: dict[int, list[Itemset]] = {}
-    for i, member in enumerate(members):
-        if add_counts[i] > 0 and member in new_supports:
-            old_add_damaged_by_size.setdefault(len(member), []).append(member)
-
-    batch_items: set = set()
-    for row in added:
-        batch_items.update(row)
-    level_candidates = sorted(
-        singleton
-        for singleton in (Itemset([item]) for item in batch_items)
-        if singleton not in old_supports
+    old_counts = np.fromiter(
+        (old_supports[member] for member in members), dtype=np.int64,
+        count=len(members),
     )
-    new_by_size: dict[int, list[Itemset]] = {1: admit(level_candidates)}
-    candidates_evaluated = len(level_candidates)
-    size = 2
-    while True:
-        join_base = old_add_damaged_by_size.get(size - 1, []) + new_by_size.get(
-            size - 1, []
-        )
-        if not join_base:
-            break
-        fresh_candidates = [
-            candidate
-            for candidate in apriori_candidates(join_base)
-            if candidate not in old_supports and candidate not in new_supports
-        ]
-        candidates_evaluated += len(fresh_candidates)
-        new_by_size[size] = admit(fresh_candidates)
-        size += 1
-    new_members = [m for level in new_by_size.values() for m in level]
+    new_counts = old_counts + add_counts - del_counts
+    survived = new_counts >= thresh_new
+    dropped_frequent = int(np.count_nonzero(~survived))
+    new_supports: dict[Itemset, int] = {
+        member: count
+        for member, count, kept in zip(members, new_counts.tolist(), survived)
+        if kept
+    }
+    old_item_set = set(old_db.items)
+    new_items = [item for item in universe if item not in old_item_set]
+    newcomers, candidates_evaluated = _sweep_newcomers(
+        universe,
+        packed_members,
+        add_counts > 0,
+        survived,
+        added_rows,
+        removed_words,
+        pack_itemsets_into([new_items], universe).words[0],
+        old_engine,
+        thresh_new,
+    )
+    new_supports.update(newcomers)
     frequent_new = ItemsetFamily(
         new_supports, new_db.n_objects, minsup_count=thresh_new
     )
@@ -382,7 +328,7 @@ def update_mining(
             for i, member in enumerate(members)
             if damaged_flags[i] and member in new_supports
         ]
-        + new_members
+        + list(newcomers)
     )
     new_engine = new_db.engine(engine)
     closure_pairs = new_engine.closures_and_supports(damaged_frequent)
@@ -489,14 +435,137 @@ def update_mining(
         damaged_closed=damaged_closed,
         damage_ratio=damage_ratio,
         reclosed=len(damaged_frequent),
-        new_frequent=len(new_members),
+        new_frequent=len(newcomers),
         dropped_frequent=dropped_frequent,
+        candidates=candidates_evaluated,
     )
     return IncrementalUpdateResult(
         mining=mining_new,
-        statistics=_fresh_statistics(stats, started),
+        statistics=replace(stats, wall_clock_seconds=time.perf_counter() - started),
         lattice=repaired_lattice,
     )
+
+
+def _containment_counts(words: np.ndarray, row_words: np.ndarray) -> np.ndarray:
+    """How many of the packed rows *row_words* contain each packed itemset."""
+    counts = np.zeros(len(words), dtype=np.int64)
+    for row in row_words:
+        counts += ~np.any(words & ~row, axis=1)
+    return counts
+
+
+def _bit_rows(positions: np.ndarray, n_words: int) -> np.ndarray:
+    """One packed row per bit position, with only that bit set."""
+    words = np.zeros((len(positions), n_words), dtype=np.uint64)
+    words[np.arange(len(positions)), positions >> 6] = np.uint64(1) << (
+        positions & 63
+    ).astype(np.uint64)
+    return words
+
+
+def _in_sorted(keys: np.ndarray, sorted_keys: np.ndarray) -> np.ndarray:
+    """Whether each key occurs in the sorted key column."""
+    if not len(sorted_keys):
+        return np.zeros(len(keys), dtype=bool)
+    slot = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+    return sorted_keys[slot] == keys
+
+
+def _sweep_newcomers(
+    universe: tuple[Item, ...],
+    members: BitMatrix,
+    add_damaged: np.ndarray,
+    survived: np.ndarray,
+    added: BitMatrix,
+    removed_words: np.ndarray,
+    new_item_words: np.ndarray,
+    old_engine,
+    thresh_new: int,
+) -> tuple[dict[Itemset, int], int]:
+    """The itemsets that newly reach *thresh_new*, with their new supports.
+
+    A newcomer gained support, so some appended row contains it and every
+    subset of it.  Level ``k`` therefore joins inside each appended row
+    only: every member of the join base (the empty itemset at level 1;
+    then the level ``k - 1`` newcomers plus the old members an appended
+    row contains that stay frequent) that the row contains is extended
+    by each item of the row above the member's largest one, so each
+    candidate arises from exactly one base member.  The Apriori prune
+    keeps a candidate only when all of its ``(k - 1)``-subsets are in the
+    base, and old frequent itemsets are dropped.  The adds and dels of
+    the deduplicated candidates come from packed containment passes over
+    the changed rows; the old engine then counts, in one batch, the base
+    supports of the candidates made of old items only.
+
+    *members* are the old frequent itemsets packed over *universe*, with
+    flags for those an appended row contains (*add_damaged*) and those
+    that stay frequent (*survived*); *added* and *removed_words*
+    are the changed rows packed over *universe*, and *new_item_words*
+    marks the items the old context lacks.  Returns the newcomers, level
+    by level and canonically ordered within a level, and the number of
+    candidates tested.
+    """
+    row_of, row_items = added.nonzero()  # row-major: a row's items ascend
+    if not len(row_items):
+        return {}, 0
+    n_bits, n_words = members.n_cols, members.n_words
+    stride = n_bits + 1
+    row_item_keys = row_of * stride + row_items
+    row_ends = np.searchsorted(row_of, np.arange(added.n_rows), side="right")
+    sizes = members.row_counts()
+    base = np.zeros((1, n_words), dtype=np.uint64)  # the empty itemset
+    base_items = np.zeros((1, 0), dtype=np.int64)
+    newcomers: dict[Itemset, int] = {}
+    tested = 0
+    size = 1
+    while len(base):
+        # (appended row, base member inside it) pairs, each extended by
+        # every item of the row above the member's largest item.
+        inside = [np.flatnonzero(~np.any(base & ~row, axis=1)) for row in added.words]
+        pair_member = np.concatenate(inside)
+        pair_row = np.repeat(np.arange(len(inside)), [len(m) for m in inside])
+        top = base_items[:, -1] if size > 1 else np.full(len(base), -1)
+        starts = np.searchsorted(row_item_keys, pair_row * stride + top[pair_member] + 1)
+        lengths = row_ends[pair_row] - starts
+        pair = np.repeat(np.arange(len(lengths)), lengths)
+        offsets = np.arange(len(pair)) - (np.cumsum(lengths) - lengths)[pair]
+        codes = np.unique(pair_member[pair] * n_bits + row_items[starts[pair] + offsets])
+        joined, extension = np.divmod(codes, n_bits)
+        words = base[joined] | _bit_rows(extension, n_words)
+        items = np.column_stack([base_items[joined], extension])
+
+        keep = ~_in_sorted(
+            row_keys(words),
+            np.sort(row_keys(members.words[(sizes == size) & add_damaged])),
+        )
+        base_keys = np.sort(row_keys(base))
+        for j in range(size - 1):
+            subset = words & ~_bit_rows(items[:, j], n_words)
+            keep &= _in_sorted(row_keys(subset), base_keys)
+        words, items = words[keep], items[keep]
+        tested += len(words)
+
+        supports = _containment_counts(words, added.words) - _containment_counts(
+            words, removed_words
+        )
+        candidates = itemsets_from_cells(
+            np.repeat(np.arange(len(items)), size), items.ravel(), len(items), universe
+        )
+        asked = np.flatnonzero(~np.any(words & new_item_words, axis=1))
+        if len(asked):
+            supports[asked] += old_engine.supports([candidates[i] for i in asked])
+        frequent = supports >= thresh_new
+        level = sorted(
+            (candidates[i], int(supports[i])) for i in np.flatnonzero(frequent)
+        )
+        newcomers.update(level)
+
+        kept_old = members.words[(sizes == size) & add_damaged & survived]
+        _, kept_old_items = BitMatrix(kept_old, n_bits).nonzero()
+        base = np.concatenate([kept_old, words[frequent]])
+        base_items = np.concatenate([kept_old_items.reshape(-1, size), items[frequent]])
+        size += 1
+    return newcomers, tested
 
 
 def _verify_against_oracle(

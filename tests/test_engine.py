@@ -17,6 +17,7 @@ Four groups of guarantees:
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -116,7 +117,8 @@ class TestBatchAgreesWithSingle:
 
     def test_large_batch_crosses_small_batch_threshold(self):
         # Exercise both the direct decode path (tiny batches) and the
-        # dedup + matmul path (large batches) of the numpy engine.
+        # dedup + packed subset-check path (large batches) of the numpy
+        # engine.
         db = make_random_db(1)
         rng = random.Random(9)
         batch = [
@@ -165,6 +167,24 @@ class TestEngineEquivalence:
         assert make_engine(db, "numpy").closures_and_supports(
             batch
         ) == make_engine(db, "bitset").closures_and_supports(batch)
+
+    def test_closures_of_covers_starting_past_the_first_word(self):
+        # The numpy engine tests only the items of a cover's first object:
+        # put that object on the last bit of word 0, the first bit of word
+        # 1 and inside word 2.
+        rows = (
+            [["a"]] * 63 + [["b", "c", "e"], ["b", "c", "d"]]
+            + [["a", "d"]] * 65 + [["c", "e", "f"]] + [["a"]] * 69
+        )
+        db = TransactionDatabase(rows)
+        batch = [Itemset(pair) for pair in combinations(db.items, 2)] + [
+            Itemset([item]) for item in db.items
+        ]
+        expected = [(brute_force_closure(db, x), db.support_count(x)) for x in batch]
+        assert make_engine(db, "numpy", cache_size=0).closures_and_supports(
+            batch
+        ) == expected
+        assert make_engine(db, "bitset").closures_and_supports(batch) == expected
 
     @pytest.mark.parametrize("engine_name", sorted(ENGINES))
     def test_miners_equivalent_across_engines(self, engine_name):

@@ -221,6 +221,44 @@ class TestUpdateMining:
         assert payload["n_appended"] == 1
         assert payload["wall_clock_seconds"] >= 0.0
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_sweep_asks_the_engine_only_about_in_row_candidates(
+        self, seed, monkeypatch
+    ):
+        """The newcomer join stays inside the appended rows.
+
+        Many short rows over a wide frequent universe: a join across rows
+        would hand the old engine pairs no row contains and test more
+        candidates than the rows have subsets.
+        """
+        import random
+        from math import comb
+
+        rng = random.Random(seed)
+        db = make_random_db(seed, n_objects=60, n_items=16, max_row=8)
+        mining = mine_itemsets(db, 0.15)
+        batch = [
+            frozenset(f"i{rng.randrange(16)}" for _ in range(2)) for _ in range(6)
+        ] + [frozenset({"i3", "new"})]
+        old_engine = db.engine()
+        asked = []
+        original = old_engine.supports
+
+        def spy(itemsets):
+            itemsets = list(itemsets)
+            asked.extend(itemsets)
+            return original(itemsets)
+
+        monkeypatch.setattr(old_engine, "supports", spy)
+        result = update_mining(mining, batch, damage_threshold=1.0, verify="oracle")
+        assert result.statistics.mode == "incremental"
+        assert asked
+        assert all(any(itemset.issubset(row) for row in batch) for itemset in asked)
+        row_subsets = sum(
+            comb(len(row), k) for row in batch for k in range(1, len(row) + 1)
+        )
+        assert 0 < result.statistics.candidates <= row_subsets
+
     def test_oracle_mismatch_is_raised_on_corrupted_input(self, toy_db):
         """A stale mining result (wrong supports) must not verify."""
         mining = mine_itemsets(toy_db, 0.4)
